@@ -23,6 +23,20 @@ def _as_index(value, what: str) -> int:
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
+
+# Largest register the package builds or loads: 2^24 complex128
+# amplitudes are 256 MiB.
+MAX_QUBITS = 24
+
+
+def _as_qubit_count(value) -> int:
+    """Validate a register size from outside input before anything is sized by it."""
+    n = _as_index(value, "n")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
+    return n
+
+
 # Tolerance on sum |a_i|^2 - 1 accepted by the constructor.  There is no
 # silent renormalization; use QuantumState.renormalized for that.
 NORM_ATOL = 1e-12
@@ -235,15 +249,14 @@ def load_state(path) -> QuantumState:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
-        n = int(payload["n"])
+        n = _as_qubit_count(payload["n"])
         pairs = payload["amplitudes"]
         amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
-    if n < 1 or amps.size != 1 << n:
+    if amps.size != 1 << n:
         raise ValueError(
-            f"state file {path}: expected {1 << n if n >= 1 else '?'} amplitudes "
-            f"for n={n}, found {amps.size}"
+            f"state file {path}: expected {1 << n} amplitudes for n={n}, found {amps.size}"
         )
     norm_sq = float(np.sum(np.abs(amps) ** 2))
     if abs(norm_sq - 1.0) > STATE_FILE_NORM_ATOL:

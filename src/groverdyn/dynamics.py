@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .core import MarkedSet, QuantumState, _check_compatible, moments
+from .core import MarkedSet, QuantumState, _as_index, _check_compatible, moments
 
 # Acceptance window for treating omega/pi as the rational it rounds to,
 # and the largest denominator tried by the continued-fraction expansion.
@@ -65,8 +65,8 @@ def classify(state: QuantumState, marked: MarkedSet, tol: float = 1e-9) -> State
     looser than fidelity tolerances because the moments accumulate
     N-term summation error).
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     _check_compatible(state, marked)
     num_states, r = state.dim, marked.r
     mom = moments(state, marked)
@@ -134,8 +134,9 @@ def detect_cycle(
     flip of the initial state.
     """
     _check_compatible(state, marked)
+    max_period = _as_index(max_period, "max_period")
     if max_period < 1:
-        raise ValueError(f"max_period must be >= 1, got {max_period!r}")
+        raise ValueError(f"max_period must be >= 1, got {max_period}")
     initial = state.amplitudes
     amps = initial.copy()
     idx = marked.indices_array

@@ -20,15 +20,13 @@ from .analytic import (
     compute_params,
     optimal_iterations,
 )
-from .core import MarkedSet, QuantumState, _as_index, load_state
+from .core import MarkedSet, QuantumState, _as_index, _as_qubit_count, load_state
 from .simulator import evolve
 from . import _kernels
 
 # Enumerate all C(N, r) marked sets up to this count; sample beyond it.
 EXHAUSTIVE_LIMIT = 100_000
 DEFAULT_SAMPLES = 2000
-
-MAX_QUBITS = 24
 
 STATE_BUILDERS = ("eta", "basis", "ghz", "w", "zero_mean", "haar", "k_uniform")
 # Builders usable directly as a --state name (no extra parameters).
@@ -50,9 +48,7 @@ def build_state(name: str, n: int, k: int | None = None, seed: int | None = None
     haar       normalized vector of 2^n complex standard Gaussians, seeded
     k_uniform  first k amplitudes equal to 1/sqrt(k)
     """
-    n = _as_index(n, "n")
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
+    n = _as_qubit_count(n)
     num_states = 1 << n
 
     if name == "eta":
@@ -115,9 +111,11 @@ class ExperimentConfig:
     """One sweep or comparison run.
 
     ``marked`` fixes an explicit marked set; otherwise the sweep selects
-    sets itself: all C(N, r) of them when that count is at most
-    ``EXHAUSTIVE_LIMIT`` (or when ``exhaustive`` is forced), else
-    ``samples`` seeded draws without replacement.
+    sets itself: all C(N, r) of them when ``exhaustive`` is forced, when
+    ``samples`` is at least C(N, r), or when ``samples`` is unset and
+    C(N, r) is at most ``EXHAUSTIVE_LIMIT``; else ``samples`` (default
+    ``DEFAULT_SAMPLES``) seeded draws without replacement.  Enumerating
+    more than ``EXHAUSTIVE_LIMIT`` sets is a ``ConfigurationError``.
     """
 
     n: int
@@ -131,9 +129,7 @@ class ExperimentConfig:
     out_path: str | None = None
 
     def __post_init__(self):
-        n = _as_index(self.n, "n")
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
+        n = _as_qubit_count(self.n)
         object.__setattr__(self, "n", n)
         num_states = 1 << n
         r = _as_index(self.r, "r")
@@ -147,10 +143,16 @@ class ExperimentConfig:
                     f"explicit marked set has {len(marked)} indices but r={self.r}"
                 )
             object.__setattr__(self, "marked", marked)
-        if self.samples is not None and self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples!r}")
-        if self.t_max is not None and self.t_max < 0:
-            raise ValueError(f"t_max must be >= 0, got {self.t_max!r}")
+        if self.samples is not None:
+            samples = _as_index(self.samples, "samples")
+            if samples < 1:
+                raise ValueError(f"samples must be >= 1, got {samples}")
+            object.__setattr__(self, "samples", samples)
+        if self.t_max is not None:
+            t_max = _as_index(self.t_max, "t_max")
+            if t_max < 0:
+                raise ValueError(f"t_max must be >= 0, got {t_max}")
+            object.__setattr__(self, "t_max", t_max)
 
 
 @dataclass(frozen=True)
@@ -199,25 +201,23 @@ def _sample_marked_sets(num_states: int, r: int, count: int, seed: int | None):
 
 
 def _select_marked_sets(config: ExperimentConfig):
-    num_states = 1 << config.n
-    total = math.comb(num_states, config.r)
     if config.marked is not None:
         return [config.marked], False
-    if config.exhaustive:
-        if total > EXHAUSTIVE_LIMIT:
-            raise ConfigurationError(
-                f"exhaustive enumeration of C({num_states}, {config.r}) = {total} "
-                f"marked sets exceeds the limit of {EXHAUSTIVE_LIMIT}; use sampling"
-            )
-        return list(combinations(range(num_states), config.r)), True
-    if config.samples is not None:
-        count = min(config.samples, total)
-        if count == total:
-            return list(combinations(range(num_states), config.r)), True
+    num_states = 1 << config.n
+    total = math.comb(num_states, config.r)
+    if config.exhaustive or (config.samples is None and total <= EXHAUSTIVE_LIMIT):
+        count = total
+    else:
+        requested = DEFAULT_SAMPLES if config.samples is None else config.samples
+        count = min(requested, total)
+    if count < total:
         return _sample_marked_sets(num_states, config.r, count, config.seed), False
-    if total <= EXHAUSTIVE_LIMIT:
-        return list(combinations(range(num_states), config.r)), True
-    return _sample_marked_sets(num_states, config.r, DEFAULT_SAMPLES, config.seed), False
+    if total > EXHAUSTIVE_LIMIT:
+        raise ConfigurationError(
+            f"enumerating all C({num_states}, {config.r}) = {total} marked sets "
+            f"exceeds the limit of {EXHAUSTIVE_LIMIT}; sample fewer sets than that"
+        )
+    return list(combinations(range(num_states), config.r)), True
 
 
 def sweep_marked_sets(config: ExperimentConfig) -> SweepSummary:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from groverdyn import load_state
 from groverdyn.cli import main
@@ -71,6 +72,32 @@ def test_simulate_rejects_missing_state_file(tmp_path, capsys):
         "--marked", "1", "--steps", "1", "--out", str(tmp_path / "x.csv"),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("n", [3.7, 25, 10**9])
+def test_simulate_rejects_bad_qubit_count_in_state_file(tmp_path, capsys, n):
+    path = tmp_path / "bad_n.json"
+    path.write_text(json.dumps({"n": n, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 7}))
+    code = main([
+        "simulate", "--state", str(path), "--n", "3",
+        "--marked", "1", "--steps", "1", "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == 2
+    assert "n must be" in capsys.readouterr().err
+
+
+def test_classify_rejects_nan_tol(capsys):
+    code = main(["classify", "--state", "eta", "--n", "3",
+                 "--marked", "0,1", "--tol", "nan"])
+    assert code == 2
+    assert "tol" in capsys.readouterr().err
+
+
+def test_avg_success_enumeration_beyond_limit_exits_3(tmp_path, capsys):
+    code = main(["avg-success", "--state", "eta", "--n", "9", "--r", "2",
+                 "--samples", "200000", "--seed", "0", "--out", str(tmp_path / "a.json")])
+    assert code == 3
+    assert "exceeds" in capsys.readouterr().err
 
 
 def test_compare_report_keys(tmp_path):

@@ -203,6 +203,15 @@ def test_state_file_renormalizes_small_deviation(tmp_path):
     assert abs(state.norm_sq() - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize("n", [3.7, 25, 10**9])
+def test_state_file_rejects_bad_qubit_count(tmp_path, n):
+    # n is checked before 1 << n is evaluated, so a huge n costs nothing.
+    path = tmp_path / "bad_n.json"
+    path.write_text(json.dumps({"n": n, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 7}))
+    with pytest.raises(ValueError, match="n must be"):
+        load_state(path)
+
+
 def test_state_file_rejects_wrong_count(tmp_path):
     path = tmp_path / "short.json"
     path.write_text(json.dumps({"n": 2, "amplitudes": [[1.0, 0.0]]}))

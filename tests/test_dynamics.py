@@ -103,6 +103,18 @@ def test_classify_generic():
 def test_classify_rejects_bad_tol():
     with pytest.raises(ValueError):
         classify(build_state("eta", 3), MarkedSet(8, (1,)), tol=0.0)
+    # NaN fails every comparison: unchecked, it turns this fixed point
+    # into a PeriodicCycle.
+    marked = MarkedSet(8, (0, 1))
+    fixed_point = build_fixed_point(marked, np.array([1.0, -1.0]) / math.sqrt(2))
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            classify(fixed_point, marked, tol=tol)
+
+
+def test_detect_cycle_rejects_non_integer_max_period():
+    with pytest.raises(ValueError, match="max_period must be an integer"):
+        detect_cycle(build_state("eta", 3), MarkedSet(8, (1,)), 2.5)
 
 
 def test_detect_cycle_period_six():

@@ -100,6 +100,12 @@ def test_config_validation():
         ExperimentConfig(n=3, r=1, samples=0)
 
 
+@pytest.mark.parametrize("field", ["samples", "t_max"])
+def test_config_rejects_non_integer_counts(field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ExperimentConfig(n=3, r=1, **{field: 2.5})
+
+
 def test_sweep_eta_exhaustive_single_marked():
     summary = sweep_marked_sets(ExperimentConfig(n=8, r=1, state_spec="eta"))
     assert summary.exhaustive
@@ -148,6 +154,15 @@ def test_forced_exhaustive_beyond_limit_is_configuration_error():
     with pytest.raises(ConfigurationError, match="exceeds"):
         sweep_marked_sets(
             ExperimentConfig(n=10, r=2, state_spec="eta", exhaustive=True)
+        )
+
+
+def test_sample_count_beyond_limit_is_configuration_error():
+    # Asking for at least all C(512, 2) = 130816 sets means enumerating them,
+    # which is over the limit just as a forced exhaustive sweep is.
+    with pytest.raises(ConfigurationError, match="exceeds"):
+        sweep_marked_sets(
+            ExperimentConfig(n=9, r=2, state_spec="eta", samples=200_000, seed=0)
         )
 
 
