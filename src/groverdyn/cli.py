@@ -61,7 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--marked", required=True, help="comma-separated indices")
     simulate.add_argument("--steps", type=int, required=True)
     simulate.add_argument("--full-snapshots", action="store_true",
-                          help="also write per-step amplitudes to <out>.states.json")
+                          help="also write per-step amplitudes to <out>.states.json "
+                               "((steps + 1) * 2^n must not exceed 2^22)")
     simulate.add_argument("--out", required=True)
 
     compare = sub.add_parser("compare", help="simulator vs closed form, JSON report")

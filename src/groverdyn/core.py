@@ -52,7 +52,7 @@ class QuantumState:
 
     Attributes
     ----------
-    n : qubit count (>= 1)
+    n : qubit count, in [1, MAX_QUBITS]
     amplitudes : read-only complex128 array of length 2^n with unit norm
     """
 
@@ -60,9 +60,7 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = _as_index(self.n, "qubit count")
-        if n < 1:
-            raise ValueError(f"qubit count must be >= 1, got {n}")
+        n = _as_qubit_count(self.n)
         object.__setattr__(self, "n", n)
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size != 1 << self.n:

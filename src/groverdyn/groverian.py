@@ -5,7 +5,8 @@ The maximization over local unitaries reduces to a maximization over
 product states, which is what is implemented: an alternating optimizer
 whose single-qubit update is an exact argmax (the normalized
 contraction of the state against the other factors), plus an
-independent grid-search oracle for n <= 3.
+independent oracle for n <= 3 that grids at most one qubit and finishes
+the last two with a 2x2 singular value decomposition.
 """
 
 from __future__ import annotations
@@ -82,16 +83,6 @@ def product_overlap(state: QuantumState, product: ProductState) -> float:
     return abs(_overlap_amplitude(state.amplitudes, product.qubit_states)) ** 2
 
 
-def _environment(psi_t: np.ndarray, factors: np.ndarray, skip: int) -> np.ndarray:
-    # Contraction of phi with the conjugate of every factor except `skip`;
-    # the result v satisfies <s|phi> = <c_skip|v>.
-    n = psi_t.ndim
-    t = np.moveaxis(psi_t, skip, 0)
-    for j in reversed([j for j in range(n) if j != skip]):
-        t = t @ np.conj(factors[j])
-    return t
-
-
 def _random_factors(n: int, rng: np.random.Generator) -> np.ndarray:
     f = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     return f / np.linalg.norm(f, axis=1, keepdims=True)
@@ -111,8 +102,13 @@ def _ascend(
     max_sweeps: int,
     tol: float,
 ) -> tuple[float, np.ndarray, bool, list[float]]:
-    # Alternating exact single-qubit updates; returns the update-by-update
-    # overlap history, which is nondecreasing up to rounding.
+    # Alternating exact single-qubit updates in Gauss-Seidel order; returns
+    # the update-by-update overlap history, which is nondecreasing up to
+    # rounding.  Each sweep carries phi contracted from the left with the
+    # factors already updated, and builds the products of the factors not
+    # yet updated once, from the last qubit backwards: rights[j] spans the
+    # last j qubits.  Qubit k's environment v, with <s|phi> = <c_k|v>, is
+    # then one (2, 2^(n-1-k)) matvec, so a sweep costs O(N).
     n = psi_t.ndim
     factors = factors.copy()
     history: list[float] = []
@@ -120,13 +116,19 @@ def _ascend(
     converged = False
     for _ in range(max_sweeps):
         previous = value
+        rights = [np.ones(1, dtype=np.complex128)]
+        for c in np.conj(factors[:0:-1]):
+            rights.append(np.outer(c, rights[-1]).ravel())
+        left = psi_t
         for k in range(n):
-            env = _environment(psi_t, factors, k)
+            left = left.reshape(2, -1)
+            env = left @ rights[n - 1 - k]
             nrm = float(np.linalg.norm(env))
             if nrm > 0.0:
                 factors[k] = env / nrm
             value = nrm * nrm
             history.append(value)
+            left = np.conj(factors[k]) @ left
         if value - previous < tol:
             converged = True
             break
@@ -153,14 +155,15 @@ def optimize_product(
     psi_t = state.amplitudes.reshape((2,) * n)
     rng = np.random.default_rng(seed)
 
-    starts = [_basis_factors(n, int(np.argmax(np.abs(state.amplitudes))))]
-    starts.extend(_random_factors(n, rng) for _ in range(restarts))
+    warm = _basis_factors(n, int(np.argmax(np.abs(state.amplitudes))))
 
     best_value = -1.0
-    best_factors = starts[0]
+    best_factors = warm
     best_converged = False
     per_restart: list[float] = []
-    for factors in starts:
+    for i in range(restarts + 1):
+        # Draw each start when its ascent begins, so one start is held at a time.
+        factors = warm if i == 0 else _random_factors(n, rng)
         value, out_factors, converged, _ = _ascend(psi_t, factors, max_sweeps, tol)
         per_restart.append(value)
         if value > best_value:
@@ -173,23 +176,19 @@ def optimize_product(
         p_max=p_max,
         g=math.sqrt(max(0.0, 1.0 - p_max)),
         argmax=ProductState(best_factors),
-        restarts_used=len(starts),
+        restarts_used=restarts + 1,
         converged=best_converged,
         best_per_restart=tuple(per_restart),
     )
 
 
-def _angle_mesh(resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    # Bloch-sphere grid: polar in [0, pi] inclusive, azimuth in [0, 2pi).
+def _angle_grid(resolution: int) -> np.ndarray:
+    # Single-qubit factors on a Bloch-sphere grid, polar angle in [0, pi]
+    # inclusive and azimuth in [0, 2pi), with the global phase of each
+    # factor fixed by making c0 real >= 0.
     theta = np.linspace(0.0, math.pi, resolution)
     phi = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-    return np.meshgrid(theta, phi, indexing="ij")
-
-
-def _angle_grid(resolution: int) -> np.ndarray:
-    # Single-qubit factors on the grid, with the global phase of each
-    # factor fixed by making c0 real >= 0.
-    tt, pp = _angle_mesh(resolution)
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
     grid = np.empty((resolution * resolution, 2), dtype=np.complex128)
     grid[:, 0] = np.cos(tt / 2.0).ravel()
     grid[:, 1] = (np.sin(tt / 2.0) * np.exp(1j * pp)).ravel()
@@ -199,11 +198,12 @@ def _angle_grid(resolution: int) -> np.ndarray:
 def grid_search_oracle(state: QuantumState, resolution: int) -> float:
     """Independent lower bound on P_max for n <= 3 by exhaustive search.
 
-    The first n-1 qubits run over a resolution x resolution
-    polar/azimuthal grid each; for every grid assignment the final qubit
-    is set to its exact optimum (the normalized contraction), so the
-    bound can only be tighter than an all-gridded search.  It approaches
-    P_max as the resolution grows.
+    The last two qubits are finished exactly: for a fixed first factor
+    the best overlap over the remaining two is the largest singular value
+    squared of the 2x2 remainder (LAPACK SVD, no alternating updates).
+    So the value is exact for n <= 2.  For n = 3 the first qubit runs
+    over a resolution x resolution polar/azimuthal grid, and the bound
+    approaches P_max as the resolution grows.
     """
     if state.n > 3:
         raise ValueError(f"grid_search_oracle supports n <= 3, got n={state.n}")
@@ -214,47 +214,11 @@ def grid_search_oracle(state: QuantumState, resolution: int) -> float:
     if state.n == 1:
         return float(np.sum(np.abs(amps) ** 2))
 
-    grid_conj = np.conj(_angle_grid(resolution))
-    num_points = grid_conj.shape[0]
-    contracted = grid_conj @ amps.reshape(2, -1)  # (G, 2^{n-1})
-
-    if state.n == 2:
-        return float(np.max(np.sum(np.abs(contracted) ** 2, axis=1)))
-
-    # n = 3: for every pair of gridded factors (qubits 1 and 2) the value
-    # with the optimal third factor is the Hermitian quadratic form
-    # x^T W x* with x = conj(c2) and W = A A^dagger, A the 2x2 remainder
-    # after contracting qubit 1.  Over the qubit-2 grid that form is
-    # linear in the four real numbers (W00, W11, Re W01, Im W01), so one
-    # real matmul against four basis surfaces evaluates the whole grid.
-    remainder = contracted.reshape(num_points, 2, 2)
-    w01 = np.sum(remainder[:, 0, :] * np.conj(remainder[:, 1, :]), axis=1)
-    coeffs = np.stack(
-        [
-            np.sum(np.abs(remainder[:, 0, :]) ** 2, axis=1),
-            np.sum(np.abs(remainder[:, 1, :]) ** 2, axis=1),
-            w01.real,
-            w01.imag,
-        ],
-        axis=1,
-    )
-    tt, pp = _angle_mesh(resolution)
-    sin_theta = np.sin(tt)
-    basis = np.stack(
-        [
-            np.cos(tt / 2.0) ** 2,
-            np.sin(tt / 2.0) ** 2,
-            sin_theta * np.cos(pp),
-            -sin_theta * np.sin(pp),
-        ]
-    ).reshape(4, num_points)
-
-    best = 0.0
-    chunk = max(1, (1 << 23) // num_points)
-    for start in range(0, num_points, chunk):
-        vals = coeffs[start : start + chunk] @ basis
-        best = max(best, float(vals.max()))
-    return best
+    remainder = amps.reshape(2, -1)
+    if state.n == 3:
+        remainder = np.conj(_angle_grid(resolution)) @ remainder  # (G, 4)
+    singular = np.linalg.svd(remainder.reshape(-1, 2, 2), compute_uv=False)
+    return float(np.max(singular[:, 0])) ** 2
 
 
 def apply_local_unitaries(state: QuantumState, unitaries) -> QuantumState:

@@ -137,7 +137,7 @@ class ExperimentConfig:
             raise ValueError(f"r must be in [1, {num_states - 1}], got {r}")
         object.__setattr__(self, "r", r)
         if self.marked is not None:
-            marked = tuple(int(i) for i in self.marked)
+            marked = tuple(_as_index(i, "marked index") for i in self.marked)
             if len(marked) != self.r:
                 raise ValueError(
                     f"explicit marked set has {len(marked)} indices but r={self.r}"

@@ -22,6 +22,11 @@ from .core import (
     _moments_from_array,
 )
 
+# Most amplitudes ``evolve`` keeps as full snapshots over one trajectory:
+# 2^22 complex128 amplitudes are 64 MiB, and the JSON side file written by
+# ``simulate --full-snapshots`` takes several times that.
+MAX_SNAPSHOT_AMPLITUDES = 1 << 22
+
 
 def apply_oracle(state: QuantumState, marked: MarkedSet) -> QuantumState:
     """Flip the sign of every marked amplitude (phase rotation by pi)."""
@@ -108,12 +113,18 @@ def evolve(
     The record at t=0 is the initial state.  By default only the success
     probability and the moment summary are stored per step; full state
     snapshots (2^n amplitudes per step) are kept only when
-    ``record_full_states`` is set.
+    ``record_full_states`` is set; more than ``MAX_SNAPSHOT_AMPLITUDES``
+    snapshot amplitudes in all, (t_max + 1) * 2^n, is a ``ValueError``.
     """
     _check_compatible(state, marked)
     t_max = _as_index(t_max, "t_max")
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
+    if record_full_states and (t_max + 1) << state.n > MAX_SNAPSHOT_AMPLITUDES:
+        raise ValueError(
+            f"full snapshots of {t_max + 1} steps at n={state.n} exceed "
+            f"{MAX_SNAPSHOT_AMPLITUDES} amplitudes; record fewer steps or none"
+        )
 
     idx = marked.indices_array
     amps = state.amplitudes.copy()

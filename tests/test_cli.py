@@ -56,6 +56,18 @@ def test_simulate_full_snapshots_side_file(tmp_path):
     assert len(payload["states"][0]) == 8
 
 
+def test_simulate_full_snapshots_beyond_limit_exits_2(tmp_path, capsys):
+    # 1001 snapshots of 2^20 amplitudes would be 16 GB before the JSON.
+    out = tmp_path / "traj.csv"
+    code = main([
+        "simulate", "--state", "eta", "--n", "20", "--marked", "1",
+        "--steps", "1000", "--full-snapshots", "--out", str(out),
+    ])
+    assert code == 2
+    assert "snapshots" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rejects_bad_marked(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = main([

@@ -30,6 +30,9 @@ def test_state_rejects_bad_norm():
 def test_state_rejects_n_zero():
     with pytest.raises(ValueError):
         QuantumState(0, np.array([1.0], dtype=complex))
+    for n in (25, 10**8):
+        with pytest.raises(ValueError, match=r"n must be in \[1, 24\]"):
+            QuantumState(n, np.array([1.0], dtype=complex))
 
 
 def test_renormalized_scales_to_unit_norm():

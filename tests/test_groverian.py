@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverdyn import (
     ProductState,
@@ -116,6 +118,7 @@ def test_result_invariants():
         assert result.restarts_used == 9  # 8 random + deterministic warm start
         assert len(result.best_per_restart) == 9
         assert max(result.best_per_restart) == result.p_max
+        assert abs(product_overlap(state, result.argmax) - result.p_max) < 1e-12
 
 
 def test_single_qubit_updates_are_monotone():
@@ -127,6 +130,25 @@ def test_single_qubit_updates_are_monotone():
     _, _, _, history = _ascend(psi_t, factors, max_sweeps=50, tol=1e-12)
     for earlier, later in zip(history, history[1:]):
         assert later >= earlier - 1e-14
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_ascent_properties_on_haar_states(n, seed):
+    rng = np.random.default_rng(seed)
+    state = random_state(n, rng)
+    result = optimize_product(state, restarts=4, seed=seed)
+    assert abs(product_overlap(state, result.argmax) - result.p_max) < 1e-12
+
+    factors = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    factors /= np.linalg.norm(factors, axis=1, keepdims=True)
+    psi_t = state.amplitudes.reshape((2,) * n)
+    _, _, _, history = _ascend(psi_t, factors, max_sweeps=50, tol=1e-12)
+    for earlier, later in zip(history, history[1:]):
+        assert later >= earlier - 1e-14
+
+    if n == 2:
+        assert result.p_max <= grid_search_oracle(state, 16) + 1e-12
 
 
 def test_optimizer_consistent_with_oracle_small_n():
@@ -150,6 +172,15 @@ def test_oracle_near_one_for_product_states():
 def test_oracle_ghz2_bracket():
     val = grid_search_oracle(build_state("ghz", 2), 200)
     assert 0.499 <= val <= 0.5 + 1e-12
+
+
+def test_oracle_two_qubits_is_exact():
+    # P_max of a two-qubit state is the largest eigenvalue of M M^dagger,
+    # M the 2x2 amplitude matrix, at any resolution.
+    state = random_state(2, np.random.default_rng(59))
+    m = state.amplitudes.reshape(2, 2)
+    exact = np.linalg.eigvalsh(m @ np.conj(m.T))[-1]
+    assert abs(grid_search_oracle(state, 16) - exact) < 1e-12
 
 
 def test_oracle_single_qubit_is_exact():

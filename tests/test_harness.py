@@ -106,6 +106,11 @@ def test_config_rejects_non_integer_counts(field):
         ExperimentConfig(n=3, r=1, **{field: 2.5})
 
 
+def test_config_rejects_non_integer_marked_index():
+    with pytest.raises(ValueError, match="marked index must be an integer"):
+        ExperimentConfig(n=3, r=1, marked=(1.7,))
+
+
 def test_sweep_eta_exhaustive_single_marked():
     summary = sweep_marked_sets(ExperimentConfig(n=8, r=1, state_spec="eta"))
     assert summary.exhaustive

@@ -16,6 +16,7 @@ from groverdyn import (
     moments,
     success_probability,
 )
+from groverdyn.simulator import MAX_SNAPSHOT_AMPLITUDES
 from helpers import random_marked_set, random_state, two_cycle_state
 
 
@@ -126,6 +127,17 @@ def test_evolve_zero_steps_returns_initial_record():
 def test_evolve_rejects_negative_t_max():
     with pytest.raises(ValueError):
         evolve(build_state("eta", 3), MarkedSet(8, (2,)), -1)
+
+
+def test_evolve_bounds_full_snapshot_memory():
+    state = build_state("eta", 12)
+    marked = MarkedSet(1 << 12, (5,))
+    t_max = MAX_SNAPSHOT_AMPLITUDES >> 12  # one step more than fits
+    with pytest.raises(ValueError, match="snapshots"):
+        evolve(state, marked, t_max, record_full_states=True)
+    traj = evolve(state, marked, t_max)
+    assert traj.t_max == t_max
+    assert traj.steps[-1].state is None
 
 
 def test_evolve_matches_textbook_closed_form_from_eta():
