@@ -68,7 +68,8 @@ class QuantumState:
                 f"expected {1 << self.n} amplitudes for n={self.n}, got shape {amps.shape}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_ATOL:
+        # Written so that a NaN norm fails too.
+        if not abs(norm_sq - 1.0) <= NORM_ATOL:
             raise ValueError(
                 f"state norm^2 = {norm_sq!r} deviates from 1 by more than {NORM_ATOL}; "
                 "use QuantumState.renormalized to normalize explicitly"
@@ -84,6 +85,8 @@ class QuantumState:
         norm = float(np.linalg.norm(amps))
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
+        if not math.isfinite(norm):
+            raise ValueError(f"cannot normalize amplitudes with norm {norm!r}")
         return cls(n, amps / norm)
 
     @classmethod
@@ -257,7 +260,7 @@ def load_state(path) -> QuantumState:
             f"state file {path}: expected {1 << n} amplitudes for n={n}, found {amps.size}"
         )
     norm_sq = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm_sq - 1.0) > STATE_FILE_NORM_ATOL:
+    if not abs(norm_sq - 1.0) <= STATE_FILE_NORM_ATOL:
         raise ValueError(
             f"state file {path}: norm^2 = {norm_sq!r} deviates from 1 by more "
             f"than {STATE_FILE_NORM_ATOL}"

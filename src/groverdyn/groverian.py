@@ -17,7 +17,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import QuantumState
+from .core import QuantumState, _as_index
 
 _UNITARY_ATOL = 1e-10
 
@@ -149,8 +149,13 @@ def optimize_product(
     basis overlap) followed by ``restarts`` seeded random starts.  The
     best value over all starts is reported; ties keep the earliest start.
     """
+    restarts = _as_index(restarts, "restarts")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts!r}")
+    # With no sweep no start is ever scored, and p_max would read 0.
+    max_sweeps = _as_index(max_sweeps, "max_sweeps")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps!r}")
     n = state.n
     psi_t = state.amplitudes.reshape((2,) * n)
     rng = np.random.default_rng(seed)
@@ -207,6 +212,7 @@ def grid_search_oracle(state: QuantumState, resolution: int) -> float:
     """
     if state.n > 3:
         raise ValueError(f"grid_search_oracle supports n <= 3, got n={state.n}")
+    resolution = _as_index(resolution, "resolution")
     if resolution < 16:
         raise ValueError(f"resolution must be >= 16, got {resolution!r}")
 

@@ -28,6 +28,11 @@ from . import _kernels
 EXHAUSTIVE_LIMIT = 100_000
 DEFAULT_SAMPLES = 2000
 
+# A sweep simulates its marked sets in blocks of this many amplitudes
+# (512 KiB of complex128), one row per set: at n = 10 and 12 it was the
+# fastest block size measured.
+_BLOCK_AMPLITUDES = 1 << 15
+
 STATE_BUILDERS = ("eta", "basis", "ghz", "w", "zero_mean", "haar", "k_uniform")
 # Builders usable directly as a --state name (no extra parameters).
 PARAMETER_FREE_BUILDERS = ("eta", "ghz", "w")
@@ -223,19 +228,28 @@ def _select_marked_sets(config: ExperimentConfig):
 def sweep_marked_sets(config: ExperimentConfig) -> SweepSummary:
     """Simulate tau iterations for each selected marked set, collect P(tau).
 
-    Reports the sample mean, its standard error, and the closed-form
-    marked-set-averaged prediction N * |mean amplitude|^2.
+    The sets are simulated together, one block row per set, with
+    ``run_grover_block``; each P(tau) equals that of a lone ``run_grover``
+    run on the set.  Reports the sample mean, its standard error, and the
+    closed-form marked-set-averaged prediction N * |mean amplitude|^2.
     """
     state = resolve_state(config.state_spec, config.n, seed=config.seed)
     tau = optimal_iterations(config.n, config.r)
     sets, exhaustive = _select_marked_sets(config)
 
-    p_values = np.empty(len(sets))
-    for i, indices in enumerate(sets):
-        idx = np.asarray(indices, dtype=np.intp)
-        amps = state.amplitudes.copy()
-        _kernels.run_grover(amps, idx, tau)
-        p_values[i] = float(np.sum(np.abs(amps[idx]) ** 2))
+    marked = np.array(sets, dtype=np.intp)
+    rows = max(1, _BLOCK_AMPLITUDES // state.dim)
+    block = np.empty((min(rows, len(marked)), state.dim), dtype=np.complex128)
+    p_values = np.empty(len(marked))
+    for start in range(0, len(marked), rows):
+        idx = marked[start:start + rows]
+        # Leading rows of a C-contiguous array stay C-contiguous.
+        part = block[: len(idx)]
+        part[...] = state.amplitudes
+        _kernels.run_grover_block(part, idx, tau)
+        p_values[start:start + len(idx)] = np.sum(
+            np.abs(np.take_along_axis(part, idx, axis=1)) ** 2, axis=1
+        )
 
     mean_p = float(np.mean(p_values))
     std_error = (

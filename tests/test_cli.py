@@ -86,6 +86,19 @@ def test_simulate_rejects_missing_state_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_simulate_rejects_nan_state_file(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"n": 1, "amplitudes": [[float("nan"), 0.0], [0.5, 0.0]]}))
+    out = tmp_path / "x.csv"
+    code = main([
+        "simulate", "--state", str(path), "--n", "1",
+        "--marked", "1", "--steps", "1", "--out", str(out),
+    ])
+    assert code == 2
+    assert "norm^2 = nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", [3.7, 25, 10**9])
 def test_simulate_rejects_bad_qubit_count_in_state_file(tmp_path, capsys, n):
     path = tmp_path / "bad_n.json"

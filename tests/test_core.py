@@ -25,6 +25,9 @@ def test_state_requires_power_of_two_length():
 def test_state_rejects_bad_norm():
     with pytest.raises(ValueError, match="renormalized"):
         QuantumState(1, np.array([1.0, 1.0], dtype=complex))
+    # abs(nan - 1) > tol is False, so a NaN norm needs its own failing test.
+    with pytest.raises(ValueError, match="nan"):
+        QuantumState(1, np.array([np.nan, 0.5], dtype=complex))
 
 
 def test_state_rejects_n_zero():
@@ -40,6 +43,9 @@ def test_renormalized_scales_to_unit_norm():
     assert np.allclose(state.amplitudes, [0.6, 0, 0, 0.8])
     with pytest.raises(ValueError):
         QuantumState.renormalized(1, np.zeros(2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="cannot normalize amplitudes with norm"):
+            QuantumState.renormalized(1, np.array([bad, 0.5]))
 
 
 def test_amplitudes_are_read_only():
@@ -193,6 +199,10 @@ def test_state_file_rejects_bad_norm(tmp_path):
     payload = {"n": 1, "amplitudes": [[1.0, 0.0], [0.1, 0.0]]}
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="norm"):
+        load_state(path)
+    # json reads the NaN literal that json.dumps writes for float("nan").
+    path.write_text(json.dumps({"n": 1, "amplitudes": [[math.nan, 0.0], [0.5, 0.0]]}))
+    with pytest.raises(ValueError, match="norm\\^2 = nan"):
         load_state(path)
 
 

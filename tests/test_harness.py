@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverdyn import (
     ConfigurationError,
@@ -14,7 +17,9 @@ from groverdyn import (
     save_state,
     sweep_marked_sets,
 )
-from groverdyn.harness import _sample_marked_sets
+from groverdyn import harness, optimal_iterations
+from groverdyn._kernels import run_grover
+from groverdyn.harness import _sample_marked_sets, _select_marked_sets
 from helpers import two_cycle_state
 from groverdyn import MarkedSet
 
@@ -139,6 +144,47 @@ def test_sampled_sweep_is_deterministic_and_consistent():
     assert exhaustive.exhaustive
     spread = 3 * max(first.std_error, 1e-6)
     assert abs(first.mean_p - exhaustive.mean_p) <= spread
+
+
+def per_set_p_values(config):
+    """P(tau) of each selected set from its own single-vector kernel run."""
+    state = resolve_state(config.state_spec, config.n, seed=config.seed)
+    tau = optimal_iterations(config.n, config.r)
+    p_values = []
+    for indices in _select_marked_sets(config)[0]:
+        idx = np.asarray(indices, dtype=np.intp)
+        amps = state.amplitudes.copy()
+        run_grover(amps, idx, tau)
+        p_values.append(float(np.sum(np.abs(amps[idx]) ** 2)))
+    return tuple(p_values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    r=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    samples=st.one_of(st.none(), st.integers(1, 60)),
+    rows=st.integers(1, 7),
+)
+def test_sweep_matches_per_set_loop(n, r, seed, samples, rows):
+    # samples=None enumerates every set; a block of `rows` rows mostly
+    # leaves a partial last block.
+    r = min(r, (1 << n) - 1)
+    if samples is None and math.comb(1 << n, r) > 2000:
+        samples = 60
+    config = ExperimentConfig(n=n, r=r, state_spec="haar", samples=samples, seed=seed)
+    with mock.patch.object(harness, "_BLOCK_AMPLITUDES", rows << n):
+        summary = sweep_marked_sets(config)
+    assert summary.p_values == per_set_p_values(config)
+
+
+@pytest.mark.parametrize("n, r, samples", [(10, 1, 100), (12, 2, 20), (3, 2, None)])
+def test_sweep_matches_per_set_loop_at_default_block_size(n, r, samples):
+    # 100 rows at n = 10 (32 a block) and 20 at n = 12 (8 a block) leave a
+    # partial last block; n = 3 fits all 28 sets in one partial block.
+    config = ExperimentConfig(n=n, r=r, state_spec="haar", samples=samples, seed=11)
+    assert sweep_marked_sets(config).p_values == per_set_p_values(config)
 
 
 def test_sample_marked_sets_unique_and_seeded():

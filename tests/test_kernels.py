@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from groverdyn import MarkedSet, QuantumState, apply_diffusion, apply_oracle
-from groverdyn._kernels import available_backends, backend_name, get_impl, run_grover
+from groverdyn._kernels import (
+    available_backends,
+    backend_name,
+    get_impl,
+    run_grover,
+    run_grover_block,
+)
 
 
 def random_problem(n, r, seed):
@@ -32,3 +38,44 @@ def test_kernel_matches_oracle_then_diffusion(n, r, steps):
         reference = apply_diffusion(apply_oracle(reference, marked))
     run_grover(amps, idx, steps)
     assert np.max(np.abs(amps - reference.amplitudes)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "n, r, steps, rows",
+    [(1, 1, 3, 1), (4, 1, 7, 1), (6, 2, 20, 5), (8, 5, 50, 3), (10, 8, 30, 4), (7, 9, 12, 16)],
+)
+def test_block_kernel_matches_single_vector_kernel(n, r, steps, rows):
+    amps, _ = random_problem(n, r, seed=n)
+    rng = np.random.default_rng(n + r)
+    marked = np.array(
+        [np.sort(rng.choice(1 << n, size=r, replace=False)) for _ in range(rows)],
+        dtype=np.intp,
+    )
+    block = np.broadcast_to(amps, (rows, 1 << n)).copy()
+    run_grover_block(block, marked, steps)
+    for row, indices in zip(block, marked):
+        reference = amps.copy()
+        run_grover(reference, indices, steps)
+        assert np.max(np.abs(row - reference)) < 1e-13
+        # Same operations in the same order: the rows are bit-identical.
+        assert np.array_equal(row, reference)
+
+
+@pytest.mark.parametrize("bad", [-1, 16])
+def test_block_kernel_rejects_index_outside_its_row(bad):
+    block = np.full((2, 16), 0.25, dtype=np.complex128)
+    with pytest.raises(IndexError, match="marked indices"):
+        run_grover_block(block, np.array([[3], [bad]], dtype=np.intp), 1)
+    assert np.all(block == 0.25)
+
+
+@pytest.mark.parametrize(
+    "block, marked, message",
+    [
+        (np.full((16, 2), 0.25, dtype=np.complex128).T, np.zeros((2, 1), np.intp), "C-contiguous"),
+        (np.full((2, 16), 0.25, dtype=np.complex128), np.zeros((1, 1), np.intp), "1 rows"),
+    ],
+)
+def test_block_kernel_rejects_malformed_block(block, marked, message):
+    with pytest.raises(ValueError, match=message):
+        run_grover_block(block, marked, 1)
