@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MarkedSet, QuantumState, _as_index, _check_compatible, moments
+from .core import MarkedSet, QuantumState, _as_index, _as_qubit_count, _check_compatible, moments
 
 # Relative threshold below which the smaller of |z+|, |z-| is treated as
 # zero and the phase delta is reported undefined.
@@ -45,13 +45,10 @@ class AnalyticParams:
     phase of the sinusoidal mean trajectory; when the scale vanishes the
     phase is undefined and ``delta_defined`` is False, in which case the
     success probability is constant.  ``omega`` is the exact rotation
-    frequency per iteration and ``omega_small_r`` the familiar
-    2*sqrt(r/N) approximation, kept as a diagnostic only.  ``tau`` is the
-    standard iteration count floor(pi/4 * sqrt(N/r)); ``tau_m`` the
-    state-dependent count floor(0.5*sqrt(N/r)*(pi/2 - Re(delta)));
-    ``tau_best`` the true integer argmax of P(t) among
-    {tau_m - 1, tau_m, tau_m + 1}, since the floor can land one step
-    short of the best integer near a half-period boundary.
+    frequency per iteration and ``z_plus``/``z_minus`` the rotating
+    coordinates at t = 0.  ``tau`` is the standard iteration count
+    floor(pi/4 * sqrt(N/r)); ``tau_m`` the state-dependent count
+    floor(0.5*sqrt(N/r)*(pi/2 - Re(delta))).
     """
 
     n: int
@@ -60,13 +57,13 @@ class AnalyticParams:
     delta: complex
     delta_defined: bool
     omega: float
-    omega_small_r: float
+    z_plus: complex
+    z_minus: complex
     p0: float
     delta_p: float
     k_const: float
     tau: int
     tau_m: int
-    tau_best: int
     a_bar_m0: complex
     a_bar_u0: complex
     sigma_m0: float
@@ -76,24 +73,34 @@ class AnalyticParams:
     def num_states(self) -> int:
         return 1 << self.n
 
+    @property
+    def tau_best(self) -> int:
+        """True integer argmax of P(t) among {tau_m - 1, tau_m, tau_m + 1}.
+
+        The floor in ``tau_m`` can land one step short of the best integer
+        near a half-period boundary.
+        """
+        candidates = [t for t in (self.tau_m - 1, self.tau_m, self.tau_m + 1) if t >= 0]
+        return max(candidates, key=lambda t: (analytic_success(self, t), -t))
+
+    @property
+    def constp_residual(self) -> float:
+        """min |abar_m0 -/+ i*sqrt((N-r)/r)*abar_u0|: zero exactly when P(t) is constant.
+
+        Computed as sqrt((N-r)/r) * min(|z+|, |z-|), so it vanishes with
+        one rotating coordinate and is measured in units of the means.
+        """
+        ratio = math.sqrt((self.num_states - self.r) / self.r)
+        return ratio * min(abs(self.z_plus), abs(self.z_minus))
+
 
 def optimal_iterations(n: int, r: int) -> int:
     """Standard optimal iteration count floor(pi/4 * sqrt(N/r))."""
-    n = _as_index(n, "qubit count")
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
-    num_states = 1 << n
+    num_states = 1 << _as_qubit_count(n)
     r = _as_index(r, "marked count")
     if not 1 <= r < num_states:
         raise ValueError(f"r must satisfy 1 <= r < {num_states}, got {r}")
     return math.floor(math.pi / 4.0 * math.sqrt(num_states / r))
-
-
-def _rotating_coords(a_bar_m0: complex, a_bar_u0: complex, num_states: int,
-                     r: int) -> tuple[complex, complex]:
-    scale = math.sqrt(r / (num_states - r))
-    m_scaled = scale * a_bar_m0
-    return a_bar_u0 + 1j * m_scaled, a_bar_u0 - 1j * m_scaled
 
 
 def compute_params(state: QuantumState, marked: MarkedSet) -> AnalyticParams:
@@ -107,7 +114,8 @@ def compute_params(state: QuantumState, marked: MarkedSet) -> AnalyticParams:
     _check_compatible(state, marked)
     num_states, r = state.dim, marked.r
     mom = moments(state, marked)
-    z_plus, z_minus = _rotating_coords(mom.a_bar_m, mom.a_bar_u, num_states, r)
+    m_scaled = math.sqrt(r / (num_states - r)) * mom.a_bar_m
+    z_plus, z_minus = mom.a_bar_u + 1j * m_scaled, mom.a_bar_u - 1j * m_scaled
 
     scale = max(abs(z_plus), abs(z_minus))
     degenerate = scale == 0.0 or min(abs(z_plus), abs(z_minus)) < _DEGENERATE_RTOL * scale
@@ -121,7 +129,6 @@ def compute_params(state: QuantumState, marked: MarkedSet) -> AnalyticParams:
         alpha = z_plus * cmath.exp(-1j * delta)
 
     omega = 2.0 * math.asin(math.sqrt(r / num_states))  # == acos(1 - 2r/N), stable
-    omega_small_r = 2.0 * math.sqrt(r / num_states)
 
     quad = (num_states - r) * mom.a_bar_u**2 + r * mom.a_bar_m**2
     delta_p = abs(quad)
@@ -141,12 +148,6 @@ def compute_params(state: QuantumState, marked: MarkedSet) -> AnalyticParams:
             0.5 * math.sqrt(num_states / r) * (math.pi / 2 - delta.real)
         )
 
-    def p_of(t: int) -> float:
-        return p0 - delta_p * math.cos(omega * t + delta.real) ** 2
-
-    candidates = [t for t in (tau_m - 1, tau_m, tau_m + 1) if t >= 0]
-    tau_best = max(candidates, key=lambda t: (p_of(t), -t))
-
     return AnalyticParams(
         n=state.n,
         r=r,
@@ -154,13 +155,13 @@ def compute_params(state: QuantumState, marked: MarkedSet) -> AnalyticParams:
         delta=delta,
         delta_defined=not degenerate,
         omega=omega,
-        omega_small_r=omega_small_r,
+        z_plus=z_plus,
+        z_minus=z_minus,
         p0=p0,
         delta_p=delta_p,
         k_const=k_const,
         tau=tau,
         tau_m=tau_m,
-        tau_best=tau_best,
         a_bar_m0=mom.a_bar_m,
         a_bar_u0=mom.a_bar_u,
         sigma_m0=mom.sigma_m,
@@ -176,12 +177,9 @@ def analytic_amplitude_means(params: AnalyticParams, t: int) -> tuple[complex, c
     both initial means vanish.
     """
     num_states, r = params.num_states, params.r
-    z_plus, z_minus = _rotating_coords(
-        params.a_bar_m0, params.a_bar_u0, num_states, r
-    )
     rot = cmath.exp(1j * params.omega * t)
-    zp_t = z_plus * rot
-    zm_t = z_minus / rot
+    zp_t = params.z_plus * rot
+    zm_t = params.z_minus / rot
     a_bar_u_t = (zp_t + zm_t) / 2.0
     a_bar_m_t = math.sqrt((num_states - r) / r) * (zp_t - zm_t) / 2j
     return a_bar_m_t, a_bar_u_t

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .core import MarkedSet, moments, save_state
+from .core import MarkedSet, _amplitude_pairs, save_state
 from .dynamics import classify, detect_cycle
 from .groverian import grid_search_oracle, optimize_product
 from .harness import (
@@ -112,10 +112,7 @@ def _cmd_simulate(args) -> int:
     if args.full_snapshots:
         snapshots = {
             "n": args.n,
-            "states": [
-                [[a.real, a.imag] for a in step.state.amplitudes]
-                for step in trajectory.steps
-            ],
+            "states": [_amplitude_pairs(step.state.amplitudes) for step in trajectory.steps],
         }
         write_json(args.out + ".states.json", snapshots)
     return EXIT_OK
@@ -144,12 +141,12 @@ def _cmd_classify(args) -> int:
     state = resolve_state(args.state, args.n)
     marked = MarkedSet(1 << args.n, _parse_marked(args.marked))
     verdict = classify(state, marked, tol=args.tol)
-    mom = moments(state, marked)
+    abar_m, abar_u = verdict.evidence["abar_m"], verdict.evidence["abar_u"]
     payload = {
         "kind": verdict.kind.value,
         "period": verdict.period,
-        "abar_m": [mom.a_bar_m.real, mom.a_bar_m.imag],
-        "abar_u": [mom.a_bar_u.real, mom.a_bar_u.imag],
+        "abar_m": [abar_m.real, abar_m.imag],
+        "abar_u": [abar_u.real, abar_u.imag],
         "tol": args.tol,
     }
     if args.max_period is not None:

@@ -234,12 +234,14 @@ def inner_product(a: QuantumState, b: QuantumState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
+def _amplitude_pairs(amps: np.ndarray) -> list[list[float]]:
+    """The JSON encoding of an amplitude array: [[re, im], ...]."""
+    return [[float(a.real), float(a.imag)] for a in amps]
+
+
 def save_state(state: QuantumState, path) -> None:
     """Write a state to JSON as {"n": n, "amplitudes": [[re, im], ...]}."""
-    payload = {
-        "n": state.n,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
-    }
+    payload = {"n": state.n, "amplitudes": _amplitude_pairs(state.amplitudes)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
         fh.write("\n")

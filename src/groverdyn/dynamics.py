@@ -17,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .core import MarkedSet, QuantumState, _as_index, _check_compatible, moments
+from .analytic import compute_params
+from .core import MarkedSet, QuantumState, _as_index, _check_compatible
 
 # Acceptance window for treating omega/pi as the rational it rounds to,
 # and the largest denominator tried by the continued-fraction expansion.
@@ -67,33 +68,25 @@ def classify(state: QuantumState, marked: MarkedSet, tol: float = 1e-9) -> State
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    _check_compatible(state, marked)
-    num_states, r = state.dim, marked.r
-    mom = moments(state, marked)
+    params = compute_params(state, marked)
     amps = state.amplitudes
-    abar_m_abs = abs(mom.a_bar_m)
-    abar_u_abs = abs(mom.a_bar_u)
+    abar_m_abs = abs(params.a_bar_m0)
+    abar_u_abs = abs(params.a_bar_u0)
     max_marked_abs = float(np.max(np.abs(amps[marked.indices_array])))
     max_unmarked_abs = float(np.max(np.abs(amps[marked.unmarked_indices])))
-
-    # Residual of abar_m = +/- i*sqrt((N-r)/r)*abar_u (vanishing sinusoid).
-    ratio = math.sqrt((num_states - r) / r)
-    constp_residual = min(
-        abs(mom.a_bar_m - 1j * ratio * mom.a_bar_u),
-        abs(mom.a_bar_m + 1j * ratio * mom.a_bar_u),
-    )
-
-    omega = 2.0 * math.asin(math.sqrt(r / num_states))
-    rational = _rational_omega(omega, _Q_MAX)
+    constp_residual = params.constp_residual
+    rational = _rational_omega(params.omega, _Q_MAX)
 
     evidence = {
+        "abar_m": params.a_bar_m0,
+        "abar_u": params.a_bar_u0,
         "abar_m_abs": abar_m_abs,
         "abar_u_abs": abar_u_abs,
         "max_marked_abs": max_marked_abs,
         "max_unmarked_abs": max_unmarked_abs,
         "constp_residual": constp_residual,
-        "sigma_u": mom.sigma_u,
-        "omega_over_pi": omega / math.pi,
+        "sigma_u": params.sigma_u0,
+        "omega_over_pi": params.omega / math.pi,
         "rational_pq": rational,
         "tol": tol,
     }
@@ -111,7 +104,7 @@ def classify(state: QuantumState, marked: MarkedSet, tol: float = 1e-9) -> State
         # The means return after 2q/gcd(p,2) steps; unmarked deviations
         # alternate sign, forcing an even period when any are present.
         k_means = q if p % 2 == 0 else 2 * q
-        if mom.sigma_u > tol and k_means % 2 == 1:
+        if params.sigma_u0 > tol and k_means % 2 == 1:
             k_means *= 2
         return StateClass(StateKind.PERIODIC_CYCLE, k_means, evidence)
     return StateClass(StateKind.GENERIC, None, evidence)

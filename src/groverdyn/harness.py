@@ -115,23 +115,22 @@ def resolve_state(spec: str, n: int, seed: int | None = None) -> QuantumState:
 class ExperimentConfig:
     """One sweep or comparison run.
 
-    ``marked`` fixes an explicit marked set; otherwise the sweep selects
-    sets itself: all C(N, r) of them when ``exhaustive`` is forced, when
-    ``samples`` is at least C(N, r), or when ``samples`` is unset and
-    C(N, r) is at most ``EXHAUSTIVE_LIMIT``; else ``samples`` (default
-    ``DEFAULT_SAMPLES``) seeded draws without replacement.  Enumerating
-    more than ``EXHAUSTIVE_LIMIT`` sets is a ``ConfigurationError``.
+    ``marked`` fixes an explicit marked set, validated and sorted by
+    ``MarkedSet``; otherwise the sweep selects sets itself: all C(N, r)
+    of them when ``samples`` is at least C(N, r), or when ``samples`` is
+    unset and C(N, r) is at most ``EXHAUSTIVE_LIMIT``; else ``samples``
+    (default ``DEFAULT_SAMPLES``) seeded draws without replacement.
+    Enumerating more than ``EXHAUSTIVE_LIMIT`` sets is a
+    ``ConfigurationError``.
     """
 
     n: int
     r: int
     state_spec: str = "eta"
     marked: tuple[int, ...] | None = None
-    exhaustive: bool = False
     samples: int | None = None
     t_max: int | None = None
     seed: int | None = None
-    out_path: str | None = None
 
     def __post_init__(self):
         n = _as_qubit_count(self.n)
@@ -142,7 +141,7 @@ class ExperimentConfig:
             raise ValueError(f"r must be in [1, {num_states - 1}], got {r}")
         object.__setattr__(self, "r", r)
         if self.marked is not None:
-            marked = tuple(_as_index(i, "marked index") for i in self.marked)
+            marked = MarkedSet(num_states, self.marked).indices
             if len(marked) != self.r:
                 raise ValueError(
                     f"explicit marked set has {len(marked)} indices but r={self.r}"
@@ -210,7 +209,7 @@ def _select_marked_sets(config: ExperimentConfig):
         return [config.marked], False
     num_states = 1 << config.n
     total = math.comb(num_states, config.r)
-    if config.exhaustive or (config.samples is None and total <= EXHAUSTIVE_LIMIT):
+    if config.samples is None and total <= EXHAUSTIVE_LIMIT:
         count = total
     else:
         requested = DEFAULT_SAMPLES if config.samples is None else config.samples

@@ -32,6 +32,13 @@ def test_optimal_iterations_examples():
     assert optimal_iterations(10, 4) == 12
 
 
+def test_optimal_iterations_rejects_bad_n():
+    # n = 10**8 used to build a 13 MB integer, then raise OverflowError.
+    for n in (0, 25, 10**8):
+        with pytest.raises(ValueError, match=r"n must be in \[1, 24\]"):
+            optimal_iterations(n, 1)
+
+
 def test_optimal_iterations_rejects_bad_r():
     with pytest.raises(ValueError):
         optimal_iterations(3, 0)
@@ -67,6 +74,24 @@ def test_vanishing_sinusoid_state_is_flagged():
     assert params.delta_p < 1e-12
     assert params.alpha == 0j
     assert not params.delta_defined
+    assert params.constp_residual < 1e-15
+
+
+def test_constp_residual_is_distance_from_constant_p_line():
+    rng = np.random.default_rng(34)
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        r = int(rng.integers(1, 1 << n))
+        state = random_state(n, rng)
+        marked = random_marked_set(n, r, rng)
+        params = compute_params(state, marked)
+        mom = moments(state, marked)
+        ratio = math.sqrt(((1 << n) - r) / r)
+        direct = min(
+            abs(mom.a_bar_m - 1j * ratio * mom.a_bar_u),
+            abs(mom.a_bar_m + 1j * ratio * mom.a_bar_u),
+        )
+        assert abs(params.constp_residual - direct) <= 1e-14 * max(direct, 1.0)
 
 
 def test_k_const_bounds_random_complex_states():

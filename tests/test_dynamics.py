@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverdyn import (
     MarkedSet,
@@ -14,6 +16,7 @@ from groverdyn import (
     evolve,
     grover_iterate,
     inner_product,
+    moments,
 )
 from helpers import constant_p_state, random_marked_set, random_state, two_cycle_state
 
@@ -98,6 +101,74 @@ def test_classify_generic():
     verdict = classify(state, marked)
     assert verdict.kind is StateKind.GENERIC
     assert verdict.period is None
+
+
+def test_classify_evidence_holds_the_initial_means():
+    rng = np.random.default_rng(43)
+    state = random_state(5, rng)
+    marked = random_marked_set(5, 3, rng)
+    evidence = classify(state, marked).evidence
+    mom = moments(state, marked)
+    assert evidence["abar_m"] == mom.a_bar_m
+    assert evidence["abar_u"] == mom.a_bar_u
+    assert evidence["sigma_u"] == mom.sigma_u
+
+
+def _zero_mean(rng, size):
+    """Seeded complex deviations with zero mean and unit norm."""
+    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    v -= np.mean(v)
+    return v / np.linalg.norm(v)
+
+
+def _periodic_input(family, n, seed):
+    """A state with a known cycle, plus seeded deviations that keep it."""
+    rng = np.random.default_rng(seed)
+    num_states = 1 << n
+    if family == "quarter_filling":
+        # N/r = 4: omega = pi/3, so the means return after 6 steps.
+        r = num_states // 4
+    elif family == "fixed_point_a":
+        r = int(rng.integers(2, num_states))
+    elif family == "fixed_point_b":
+        r = int(rng.integers(1, num_states - 1))
+    else:
+        r = int(rng.integers(2, num_states - 1))
+    marked = random_marked_set(n, r, rng)
+    m_idx, u_idx = marked.indices_array, marked.unmarked_indices
+    amps = np.zeros(num_states, dtype=complex)
+    if family == "quarter_filling":
+        amps[:] = 1.0 / math.sqrt(num_states)
+        amps += rng.uniform(0.0, 0.5) * _zero_mean(rng, num_states)
+    elif family == "fixed_point_a":
+        amps[m_idx] = _zero_mean(rng, r)
+    elif family == "fixed_point_b":
+        amps[u_idx] = _zero_mean(rng, num_states - r)
+    else:
+        theta = rng.uniform(0.1, math.pi / 2 - 0.1)
+        amps[m_idx] = math.cos(theta) * _zero_mean(rng, r)
+        amps[u_idx] = math.sin(theta) * _zero_mean(rng, num_states - r)
+    return QuantumState.renormalized(n, amps), marked
+
+
+@pytest.mark.parametrize("family", [
+    "fixed_point_a",
+    pytest.param("fixed_point_b", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="classify reports period 1 for class B fixed points, but one "
+               "iteration maps them to minus themselves, so the exact "
+               "recurrence that detect_cycle checks takes 2 steps",
+    )),
+    "two_cycle",
+    "quarter_filling",
+])
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_classified_period_is_detected(family, n, seed):
+    state, marked = _periodic_input(family, n, seed)
+    verdict = classify(state, marked)
+    assert verdict.period is not None
+    assert detect_cycle(state, marked, verdict.period) == verdict.period
 
 
 def test_classify_rejects_bad_tol():

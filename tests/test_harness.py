@@ -116,6 +116,15 @@ def test_config_rejects_non_integer_marked_index():
         ExperimentConfig(n=3, r=1, marked=(1.7,))
 
 
+def test_config_validates_marked_set_like_marked_set():
+    # A repeated index used to give P(tau) = 1.5625 from the sweep.
+    with pytest.raises(ValueError, match="distinct"):
+        ExperimentConfig(n=3, r=2, marked=(1, 1))
+    with pytest.raises(ValueError, match=r"\[0, 8\)"):
+        ExperimentConfig(n=3, r=1, marked=(9,))
+    assert ExperimentConfig(n=3, r=2, marked=(5, 1)).marked == (1, 5)
+
+
 def test_sweep_eta_exhaustive_single_marked():
     summary = sweep_marked_sets(ExperimentConfig(n=8, r=1, state_spec="eta"))
     assert summary.exhaustive
@@ -202,9 +211,13 @@ def test_sampling_without_seed_is_configuration_error():
 
 
 def test_forced_exhaustive_beyond_limit_is_configuration_error():
+    # samples=C(N, r) forces an exhaustive sweep; C(1024, 2) = 523776 sets
+    # is over the limit.
     with pytest.raises(ConfigurationError, match="exceeds"):
         sweep_marked_sets(
-            ExperimentConfig(n=10, r=2, state_spec="eta", exhaustive=True)
+            ExperimentConfig(
+                n=10, r=2, state_spec="eta", samples=math.comb(1024, 2), seed=0
+            )
         )
 
 
