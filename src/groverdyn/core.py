@@ -8,6 +8,7 @@ defensive copies.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -236,15 +237,43 @@ def inner_product(a: QuantumState, b: QuantumState) -> complex:
 
 def _amplitude_pairs(amps: np.ndarray) -> list[list[float]]:
     """The JSON encoding of an amplitude array: [[re, im], ...]."""
-    return [[float(a.real), float(a.imag)] for a in amps]
+    return amps.view(np.float64).reshape(-1, 2).tolist()
+
+
+# Amplitudes per json.dumps call in save_state: big enough to keep the
+# per-call overhead small, small enough that one chunk's Python floats
+# and text stay well under the size of the state itself.
+_SAVE_CHUNK = 1 << 14
 
 
 def save_state(state: QuantumState, path) -> None:
-    """Write a state to JSON as {"n": n, "amplitudes": [[re, im], ...]}."""
-    payload = {"n": state.n, "amplitudes": _amplitude_pairs(state.amplitudes)}
+    """Write a state to JSON as {"n": n, "amplitudes": [[re, im], ...]}.
+
+    The bytes are those of ``json.dumps({"n": ..., "amplitudes": ...})``
+    plus a newline.  The pairs are encoded a chunk at a time by
+    ``json.dumps``, which runs the C encoder (``json.dump`` never does),
+    and each chunk's outer brackets are dropped.
+    """
+    amps = state.amplitudes
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(f'{{"n": {json.dumps(state.n)}, "amplitudes": [')
+        for start in range(0, amps.size, _SAVE_CHUNK):
+            if start:
+                fh.write(", ")
+            fh.write(json.dumps(_amplitude_pairs(amps[start:start + _SAVE_CHUNK]))[1:-1])
+        fh.write("]}\n")
+
+
+def _amplitudes_from_pairs(pairs) -> np.ndarray:
+    """Parse the JSON encoding [[re, im], ...] of an amplitude array."""
+    for re, im in pairs:
+        # Exact types: JSON true/false load as bool, a subclass of int.
+        if (re.__class__ is not float and re.__class__ is not int) or (
+            im.__class__ is not float and im.__class__ is not int
+        ):
+            raise ValueError(f"amplitudes must be [re, im] pairs of numbers, got {[re, im]!r}")
+    flat = np.fromiter(itertools.chain.from_iterable(pairs), np.float64, 2 * len(pairs))
+    return flat.view(np.complex128)
 
 
 def load_state(path) -> QuantumState:
@@ -252,10 +281,13 @@ def load_state(path) -> QuantumState:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
+        # JSON true/false load as bool, which operator.index takes as 1 or 0.
+        if payload["n"].__class__ is bool:
+            raise ValueError(f"n must be an integer, got {payload['n']!r}")
         n = _as_qubit_count(payload["n"])
-        pairs = payload["amplitudes"]
-        amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    except (KeyError, TypeError, ValueError) as exc:
+        amps = _amplitudes_from_pairs(payload["amplitudes"])
+    # OverflowError: a JSON integer too large for a float.
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
     if amps.size != 1 << n:
         raise ValueError(

@@ -44,9 +44,9 @@ class StateClass:
     evidence: dict
 
     def __post_init__(self):
-        if self.kind in (StateKind.FIXED_POINT_A, StateKind.FIXED_POINT_B):
+        if self.kind is StateKind.FIXED_POINT_A:
             assert self.period == 1
-        elif self.kind is StateKind.TWO_CYCLE:
+        elif self.kind in (StateKind.FIXED_POINT_B, StateKind.TWO_CYCLE):
             assert self.period == 2
         elif self.kind is StateKind.PERIODIC_CYCLE:
             assert self.period is not None and self.period >= 3
@@ -94,7 +94,9 @@ def classify(state: QuantumState, marked: MarkedSet, tol: float = 1e-9) -> State
     if abar_m_abs < tol and max_unmarked_abs < tol:
         return StateClass(StateKind.FIXED_POINT_A, 1, evidence)
     if max_marked_abs < tol and abar_u_abs < tol:
-        return StateClass(StateKind.FIXED_POINT_B, 1, evidence)
+        # U_G maps a class B fixed point to minus itself: a fixed point of
+        # the ray, but the amplitudes return only after two steps.
+        return StateClass(StateKind.FIXED_POINT_B, 2, evidence)
     if abar_m_abs < tol and abar_u_abs < tol:
         return StateClass(StateKind.TWO_CYCLE, 2, evidence)
     if constp_residual < tol:

@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from groverdyn import load_state
+from groverdyn import MarkedSet, evolve, load_state
 from groverdyn.cli import main
+from groverdyn.harness import write_json
 
 
 def test_state_make_ghz(tmp_path):
@@ -54,6 +55,26 @@ def test_simulate_full_snapshots_side_file(tmp_path):
     assert payload["n"] == 3
     assert len(payload["states"]) == 3
     assert len(payload["states"][0]) == 8
+
+
+def test_simulate_full_snapshots_writes_the_reference_bytes(tmp_path):
+    spec = tmp_path / "haar.json"
+    assert main(["state", "make", "haar", "--n", "4", "--seed", "5", "--out", str(spec)]) == 0
+    out = tmp_path / "traj.csv"
+    assert main([
+        "simulate", "--state", str(spec), "--n", "4", "--marked", "2,11",
+        "--steps", "6", "--full-snapshots", "--out", str(out),
+    ]) == 0
+    trajectory = evolve(load_state(spec), MarkedSet(16, (2, 11)), 6, record_full_states=True)
+    reference = tmp_path / "reference.json"
+    write_json(reference, {
+        "n": 4,
+        "states": [
+            [[float(a.real), float(a.imag)] for a in step.state.amplitudes]
+            for step in trajectory.steps
+        ],
+    })
+    assert (tmp_path / "traj.csv.states.json").read_bytes() == reference.read_bytes()
 
 
 def test_simulate_full_snapshots_beyond_limit_exits_2(tmp_path, capsys):
@@ -109,6 +130,31 @@ def test_simulate_rejects_bad_qubit_count_in_state_file(tmp_path, capsys, n):
     ])
     assert code == 2
     assert "n must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    # json reads true/false as bool, which used to load as the state |0>.
+    '{"n": true, "amplitudes": [[true, false], [false, false]]}',
+    '{"n": 1, "amplitudes": [[1' + '0' * 400 + ', 0.0], [0.0, 0.0]]}',
+], ids=["booleans", "huge_integer"])
+def test_classify_rejects_state_file_entries_that_are_not_numbers(tmp_path, capsys, text):
+    path = tmp_path / "bad_entry.json"
+    path.write_text(text)
+    code = main(["classify", "--state", str(path), "--n", "1", "--marked", "1"])
+    assert code == 2
+    assert "malformed state file" in capsys.readouterr().err
+
+
+def test_classify_class_b_fixed_point_period(tmp_path, capsys):
+    path = tmp_path / "class_b.json"
+    h = 0.5 ** 0.5
+    path.write_text(json.dumps({"n": 2, "amplitudes": [[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, 0.0]]}))
+    code = main(["classify", "--state", str(path), "--n", "2", "--marked", "0",
+                 "--max-period", "4"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "FixedPointClassB"
+    assert payload["period"] == payload["detected_period"] == 2
 
 
 def test_classify_rejects_nan_tol(capsys):

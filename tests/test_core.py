@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from groverdyn import (
     MarkedSet,
@@ -14,6 +16,7 @@ from groverdyn import (
     moments,
     save_state,
 )
+from groverdyn.core import _SAVE_CHUNK
 from helpers import random_marked_set, random_state
 
 
@@ -184,14 +187,104 @@ def test_basis_label_msb_first():
         basis_label(8, 3)
 
 
-def test_state_file_round_trip(tmp_path):
-    rng = np.random.default_rng(15)
-    state = random_state(4, rng)
+# The files of one example are overwritten by the next, so sharing
+# tmp_path between examples is safe.
+_FILE_SETTINGS = settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@_FILE_SETTINGS
+@given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_state_file_round_trip(tmp_path, n, seed):
+    state = random_state(n, np.random.default_rng(seed))
     path = tmp_path / "state.json"
     save_state(state, path)
     loaded = load_state(path)
-    assert loaded.n == 4
-    assert np.allclose(loaded.amplitudes, state.amplitudes, atol=1e-15)
+    assert loaded.n == n
+    assert np.max(np.abs(loaded.amplitudes - state.amplitudes)) <= 1e-15
+
+
+def _reference_save_state(state, path):
+    # The byte reference: json.dump of the whole payload, then a newline.
+    payload = {
+        "n": state.n,
+        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
+
+
+# Float values written among the amplitudes of a unit-norm state: signed
+# zeros, subnormals down to 5e-324, the smallest normal, and values whose
+# repr takes an exponent.  All are small enough that a few thousand of
+# them leave the norm within QuantumState's tolerance.
+_TINY_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 2.2250738585072014e-308,
+    1e-20, -3.0000000000000004e-10, 1.5e-9,
+]
+# Unit-norm leading floats (the interleaved re, im of the first amplitudes):
+# exact integers and halves, and a 17-digit value.
+_HEADS = {
+    "one": [1.0],
+    "minus_one_imag": [0.0, -1.0],
+    "halves": [0.5, -0.5, -0.5, 0.5],
+    "root_half": [math.sqrt(0.5), -math.sqrt(0.5)],
+}
+
+
+@st.composite
+def _states_to_write(draw):
+    # n runs to two chunks of save_state's encoder.
+    n = draw(st.integers(1, _SAVE_CHUNK.bit_length()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["haar", *_HEADS]))
+    if kind == "haar":
+        return random_state(n, rng)
+    floats = np.zeros(2 << n)
+    if draw(st.booleans()):
+        # Random magnitudes between 1e-320 and 1e-9: most reprs have an exponent.
+        floats = rng.standard_normal(2 << n) * 10.0 ** rng.uniform(-320, -9, 2 << n)
+    for pos, value in draw(st.lists(
+            st.tuples(st.integers(0, 2**16 - 1), st.sampled_from(_TINY_FLOATS)), max_size=20)):
+        floats[pos % floats.size] = value
+    head = _HEADS[kind]
+    floats[:len(head)] = head
+    return QuantumState(n, floats.view(np.complex128))
+
+
+@_FILE_SETTINGS
+@given(state=_states_to_write())
+@example(state=build_state("ghz", _SAVE_CHUNK.bit_length() - 1))
+@example(state=build_state("zero_mean", _SAVE_CHUNK.bit_length(), seed=3))
+def test_save_state_writes_the_reference_bytes(tmp_path, state):
+    save_state(state, tmp_path / "state.json")
+    _reference_save_state(state, tmp_path / "reference.json")
+    assert (tmp_path / "state.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+@pytest.mark.parametrize("payload", [
+    {"n": True, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+    {"n": 1, "amplitudes": [[True, False], [False, False]]},
+    {"n": 1, "amplitudes": [[1.0, 0.0], [0.0, False]]},
+    {"n": 1, "amplitudes": [[1.0, 0.0], [False, 0.0]]},
+    {"n": 1, "amplitudes": [[1.0, 0.0], ["0.0", 0.0]]},
+    {"n": 1, "amplitudes": [[1.0, 0.0], [0.0, None]]},
+    {"n": 1, "amplitudes": [[1.0, 0.0], [0.0]]},
+    {"n": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0, 0.0]]},
+    # Too large for a float: this used to escape as OverflowError.
+    {"n": 1, "amplitudes": [[10**400, 0.0], [0.0, 0.0]]},
+], ids=[
+    "bool_n", "bool_pairs", "bool_imag", "bool_real", "string", "null",
+    "short_pair", "long_pair", "huge_integer",
+])
+def test_state_file_rejects_entries_that_are_not_numbers(tmp_path, payload):
+    path = tmp_path / "bad_entry.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="malformed state file"):
+        load_state(path)
 
 
 def test_state_file_rejects_bad_norm(tmp_path):

@@ -44,7 +44,7 @@ def test_classify_class_b_fixed_point():
     marked = MarkedSet(4, (0,))
     verdict = classify(state, marked)
     assert verdict.kind is StateKind.FIXED_POINT_B
-    assert verdict.period == 1
+    assert verdict.period == 2
     assert fidelity_after(state, marked, 1) >= 1 - 1e-11
 
 
@@ -153,12 +153,7 @@ def _periodic_input(family, n, seed):
 
 @pytest.mark.parametrize("family", [
     "fixed_point_a",
-    pytest.param("fixed_point_b", marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="classify reports period 1 for class B fixed points, but one "
-               "iteration maps them to minus themselves, so the exact "
-               "recurrence that detect_cycle checks takes 2 steps",
-    )),
+    "fixed_point_b",
     "two_cycle",
     "quarter_filling",
 ])
