@@ -66,7 +66,6 @@ class AnalyticParams:
     tau_m: int
     a_bar_m0: complex
     a_bar_u0: complex
-    sigma_m0: float
     sigma_u0: float
 
     @property
@@ -164,7 +163,6 @@ def compute_params(state: QuantumState, marked: MarkedSet) -> AnalyticParams:
         tau_m=tau_m,
         a_bar_m0=mom.a_bar_m,
         a_bar_u0=mom.a_bar_u,
-        sigma_m0=mom.sigma_m,
         sigma_u0=mom.sigma_u,
     )
 

@@ -186,18 +186,15 @@ class MarkedSet:
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """First and second moments of an amplitude distribution.
+    """Means and spreads of the marked and unmarked amplitudes.
 
-    ``a_bar`` is the mean over all amplitudes, ``a_bar_m``/``a_bar_u`` the
-    means over the marked/unmarked subsets, and the sigmas are the
-    standard deviations of the corresponding distributions.  For a unit
-    state sigma_a^2 = 1/N - |a_bar|^2 always holds.
+    ``a_bar_m``/``a_bar_u`` are the means over the marked/unmarked subsets
+    and ``sigma_m``/``sigma_u`` the standard deviations about them.  Under
+    the Grover iteration the means rotate and the sigmas stay fixed.
     """
 
-    a_bar: complex
     a_bar_m: complex
     a_bar_u: complex
-    sigma_a: float
     sigma_m: float
     sigma_u: float
 
@@ -211,15 +208,13 @@ def _check_compatible(state: QuantumState, marked: MarkedSet) -> None:
 
 
 def _moments_from_array(amps: np.ndarray, marked: MarkedSet) -> MomentSummary:
-    a_bar = complex(np.mean(amps))
     marked_amps = amps[marked.indices_array]
     unmarked_amps = amps[marked.unmarked_indices]
     a_bar_m = complex(np.mean(marked_amps))
     a_bar_u = complex(np.mean(unmarked_amps))
-    sigma_a = math.sqrt(float(np.mean(np.abs(amps - a_bar) ** 2)))
     sigma_m = math.sqrt(float(np.mean(np.abs(marked_amps - a_bar_m) ** 2)))
     sigma_u = math.sqrt(float(np.mean(np.abs(unmarked_amps - a_bar_u) ** 2)))
-    return MomentSummary(a_bar, a_bar_m, a_bar_u, sigma_a, sigma_m, sigma_u)
+    return MomentSummary(a_bar_m, a_bar_u, sigma_m, sigma_u)
 
 
 def moments(state: QuantumState, marked: MarkedSet) -> MomentSummary:

@@ -21,6 +21,11 @@ from .core import QuantumState, _as_index
 
 _UNITARY_ATOL = 1e-10
 
+# Sweeps per ascent, and the smallest gain in overlap over one sweep that
+# keeps an ascent going.
+MAX_SWEEPS = 1000
+SWEEP_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class ProductState:
@@ -138,8 +143,6 @@ def _ascend(
 def optimize_product(
     state: QuantumState,
     restarts: int = 32,
-    max_sweeps: int = 1000,
-    tol: float = 1e-12,
     seed: int = 0,
 ) -> GroverianResult:
     """Maximize the product-state overlap by alternating exact updates.
@@ -148,14 +151,12 @@ def optimize_product(
     state (so the result can never fall below the best computational
     basis overlap) followed by ``restarts`` seeded random starts.  The
     best value over all starts is reported; ties keep the earliest start.
+    An ascent stops after ``MAX_SWEEPS`` sweeps or at the first sweep that
+    gains less than ``SWEEP_TOL``; ``converged`` tells which, for the best.
     """
     restarts = _as_index(restarts, "restarts")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts!r}")
-    # With no sweep no start is ever scored, and p_max would read 0.
-    max_sweeps = _as_index(max_sweeps, "max_sweeps")
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps!r}")
     n = state.n
     psi_t = state.amplitudes.reshape((2,) * n)
     rng = np.random.default_rng(seed)
@@ -169,7 +170,7 @@ def optimize_product(
     for i in range(restarts + 1):
         # Draw each start when its ascent begins, so one start is held at a time.
         factors = warm if i == 0 else _random_factors(n, rng)
-        value, out_factors, converged, _ = _ascend(psi_t, factors, max_sweeps, tol)
+        value, out_factors, converged, _ = _ascend(psi_t, factors, MAX_SWEEPS, SWEEP_TOL)
         per_restart.append(value)
         if value > best_value:
             best_value = value

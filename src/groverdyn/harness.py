@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -25,6 +25,7 @@ from .simulator import evolve
 from . import _kernels
 
 # Enumerate all C(N, r) marked sets up to this count; sample beyond it.
+# No sweep, enumerated or sampled, takes more sets than this.
 EXHAUSTIVE_LIMIT = 100_000
 DEFAULT_SAMPLES = 2000
 
@@ -120,8 +121,8 @@ class ExperimentConfig:
     of them when ``samples`` is at least C(N, r), or when ``samples`` is
     unset and C(N, r) is at most ``EXHAUSTIVE_LIMIT``; else ``samples``
     (default ``DEFAULT_SAMPLES``) seeded draws without replacement.
-    Enumerating more than ``EXHAUSTIVE_LIMIT`` sets is a
-    ``ConfigurationError``.
+    Sweeping more than ``EXHAUSTIVE_LIMIT`` sets, enumerated or sampled,
+    is a ``ConfigurationError``.
     """
 
     n: int
@@ -175,17 +176,8 @@ class SweepSummary:
     p_values: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "tau": self.tau,
-            "num_sets": self.num_sets,
-            "exhaustive": self.exhaustive,
-            "seed": self.seed,
-            "mean_p": self.mean_p,
-            "std_error": self.std_error,
-            "analytic_prediction": self.analytic_prediction,
-        }
+        """The ``avg-success`` JSON: every field but ``p_values``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "p_values"}
 
 
 def _sample_marked_sets(num_states: int, r: int, count: int, seed: int | None):
@@ -214,13 +206,13 @@ def _select_marked_sets(config: ExperimentConfig):
     else:
         requested = DEFAULT_SAMPLES if config.samples is None else config.samples
         count = min(requested, total)
+    if count > EXHAUSTIVE_LIMIT:
+        raise ConfigurationError(
+            f"sweeping {count} of the C({num_states}, {config.r}) = {total} marked "
+            f"sets exceeds the limit of {EXHAUSTIVE_LIMIT}; request at most that many"
+        )
     if count < total:
         return _sample_marked_sets(num_states, config.r, count, config.seed), False
-    if total > EXHAUSTIVE_LIMIT:
-        raise ConfigurationError(
-            f"enumerating all C({num_states}, {config.r}) = {total} marked sets "
-            f"exceeds the limit of {EXHAUSTIVE_LIMIT}; sample fewer sets than that"
-        )
     return list(combinations(range(num_states), config.r)), True
 
 
@@ -295,27 +287,10 @@ class ComparisonReport:
     max_abs_err: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "marked": list(self.marked),
-            "tau": self.tau,
-            "tau_m": self.tau_m,
-            "p0": self.p0,
-            "delta_p": self.delta_p,
-            "k_const": self.k_const,
-            "omega": self.omega,
-            "max_abs_err": self.max_abs_err,
-            "per_t": [
-                {
-                    "t": row.t,
-                    "p_sim": row.p_sim,
-                    "p_analytic": row.p_analytic,
-                    "abs_err": row.abs_err,
-                }
-                for row in self.rows
-            ],
-        }
+        """The ``compare`` JSON: every field, with ``rows`` as ``per_t``."""
+        payload = asdict(self)
+        payload["per_t"] = payload.pop("rows")
+        return payload
 
 
 def compare_run(config: ExperimentConfig) -> ComparisonReport:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverdyn import (
     MarkedSet,
@@ -167,6 +169,23 @@ def test_amplitudes_match_simulator_componentwise():
                 np.max(np.abs(closed.amplitudes - traj.steps[t].state.amplitudes))
                 < 1e-10
             )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    name=st.sampled_from(["haar", "zero_mean", "ghz", "w"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_simulation_matches_closed_form_amplitudes(n, name, seed, data):
+    r = data.draw(st.integers(1, (1 << n) - 1), label="r")
+    state = build_state(name, n, seed=seed)
+    marked = random_marked_set(n, r, np.random.default_rng(seed))
+    traj = evolve(state, marked, 4 * optimal_iterations(n, r), record_full_states=True)
+    for step in traj.steps:
+        closed = analytic_amplitudes(state, marked, step.t)
+        assert np.max(np.abs(closed.amplitudes - step.state.amplitudes)) < 1e-10
 
 
 def test_amplitudes_match_simulator_for_degenerate_state():

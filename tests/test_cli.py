@@ -171,6 +171,15 @@ def test_avg_success_enumeration_beyond_limit_exits_3(tmp_path, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_avg_success_sampling_beyond_limit_exits_3(tmp_path, capsys):
+    out = tmp_path / "a.json"
+    code = main(["avg-success", "--state", "eta", "--n", "12", "--r", "2",
+                 "--samples", "100001", "--seed", "0", "--out", str(out)])
+    assert code == 3
+    assert "exceeds the limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_report_keys(tmp_path):
     out = tmp_path / "cmp.json"
     code = main([

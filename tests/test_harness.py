@@ -230,6 +230,14 @@ def test_sample_count_beyond_limit_is_configuration_error():
         )
 
 
+def test_sampled_sweep_beyond_limit_is_configuration_error():
+    # The limit holds for sampled sweeps too, before any set is drawn.
+    config = ExperimentConfig(n=12, r=2, state_spec="eta", samples=120_000, seed=1)
+    with mock.patch.object(harness, "_sample_marked_sets", side_effect=AssertionError("drew")):
+        with pytest.raises(ConfigurationError, match="exceeds the limit"):
+            sweep_marked_sets(config)
+
+
 def test_sample_count_capped_at_population():
     summary = sweep_marked_sets(
         ExperimentConfig(n=4, r=1, state_spec="eta", samples=1000, seed=1)

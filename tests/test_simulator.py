@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverdyn import (
     MarkedSet,
@@ -174,6 +176,18 @@ def test_unitarity_over_ten_thousand_iterations():
     run_grover(amps, marked.indices_array, k)
     drift = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
     assert drift < k * 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_grover_iterate_preserves_inner_products(n, seed, data):
+    r = data.draw(st.integers(1, (1 << n) - 1), label="r")
+    rng = np.random.default_rng(seed)
+    phi, psi = random_state(n, rng), random_state(n, rng)
+    marked = random_marked_set(n, r, rng)
+    before = inner_product(phi, psi)
+    after = inner_product(grover_iterate(phi, marked), grover_iterate(psi, marked))
+    assert abs(after - before) < 1e-13
 
 
 def test_standard_deviations_are_constants_of_motion():
