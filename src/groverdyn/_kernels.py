@@ -13,6 +13,10 @@ import numpy as np
 
 NAME = "python"
 
+# Rows at least this long are reflected one row at a time, about a scalar
+# mean; shorter rows in one broadcast subtract (see ``run_grover_block``).
+_ROW_WISE_MIN_AMPLITUDES = 1 << 11
+
 
 def run_grover(amps: np.ndarray, marked: np.ndarray, steps: int) -> None:
     """Apply ``steps`` Grover iterations to ``amps`` in place.
@@ -39,6 +43,13 @@ def run_grover_block(block: np.ndarray, marked: np.ndarray, steps: int) -> None:
     exact, and the reflection takes the row mean, doubles it and subtracts,
     in the same order and with the same reductions.
 
+    The reflection has two forms.  Rows of fewer than
+    ``_ROW_WISE_MIN_AMPLITUDES`` amplitudes subtract the ``(B, 1)`` block of
+    doubled means in one broadcast call.  numpy runs that broadcast through
+    its buffered iterator, at about twice the cost per amplitude of a scalar
+    subtracted over a contiguous row, so longer rows take one scalar
+    subtract per row, where the saving outweighs the Python call.
+
     Parameters
     ----------
     block : C-contiguous (B, N) complex128 array, modified in place
@@ -57,11 +68,19 @@ def run_grover_block(block: np.ndarray, marked: np.ndarray, steps: int) -> None:
     flat = block.reshape(-1)
     cells = (np.arange(rows, dtype=np.intp)[:, None] * num_states + marked).ravel()
     mean = np.empty((rows, 1), dtype=block.dtype)
+    # Each (1,) view of ``mean`` is subtracted from its row as a scalar.
+    row_means = list(zip(mean, block)) if num_states >= _ROW_WISE_MIN_AMPLITUDES else None
     for _ in range(steps):
         flat[cells] = -flat[cells]
-        np.mean(block, axis=1, keepdims=True, out=mean)
+        # The reductions np.mean runs, without its Python wrapper.
+        np.add.reduce(block, axis=1, keepdims=True, out=mean)
+        np.true_divide(mean, num_states, out=mean)
         mean *= 2.0
-        np.subtract(mean, block, out=block)
+        if row_means is None:
+            np.subtract(mean, block, out=block)
+        else:
+            for mean_b, row_b in row_means:
+                np.subtract(mean_b, row_b, out=row_b)
 
 
 def available_backends() -> tuple[str, ...]:

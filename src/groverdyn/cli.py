@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .core import MarkedSet, _amplitude_pairs, save_state
+from .core import MarkedSet, save_state
 from .dynamics import classify, detect_cycle
 from .groverian import grid_search_oracle, optimize_product
 from .harness import (
@@ -110,11 +110,7 @@ def _cmd_simulate(args) -> int:
     trajectory = evolve(state, marked, args.steps, record_full_states=args.full_snapshots)
     trajectory.write_csv(args.out)
     if args.full_snapshots:
-        snapshots = {
-            "n": args.n,
-            "states": [_amplitude_pairs(step.state.amplitudes) for step in trajectory.steps],
-        }
-        write_json(args.out + ".states.json", snapshots)
+        trajectory.write_snapshots(args.out + ".states.json")
     return EXIT_OK
 
 

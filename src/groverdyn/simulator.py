@@ -8,6 +8,7 @@ an N x N operator.  One ``grover_iterate`` is the composition of the two.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,8 @@ from .core import (
     MarkedSet,
     MomentSummary,
     QuantumState,
+    _SAVE_CHUNK,
+    _amplitude_pairs,
     _as_index,
     _check_compatible,
     _moments_from_array,
@@ -26,6 +29,25 @@ from .core import (
 # 2^22 complex128 amplitudes are 64 MiB, and the JSON side file written by
 # ``simulate --full-snapshots`` takes several times that.
 MAX_SNAPSHOT_AMPLITUDES = 1 << 22
+
+# Most Grover iterations one trajectory records.  Each step keeps a
+# ``TrajectoryStep`` of about 384 bytes, so the limit is about 38 MB of
+# records; it covers ``compare``'s default 4 * tau at n = 24, r = 1
+# (12,864 steps) several times over.
+MAX_TRAJECTORY_STEPS = 100_000
+
+# What ``write_json``'s indent=2 layout puts between two [re, im] pairs of
+# one snapshot, and between the real and imaginary part of one pair.
+_PAIR_SEP = "\n      ],\n      [\n        "
+_RE_IM_SEP = ",\n        "
+
+
+def _as_step_count(t_max) -> int:
+    """Validate a trajectory length: an integer in [0, MAX_TRAJECTORY_STEPS]."""
+    t_max = _as_index(t_max, "t_max")
+    if not 0 <= t_max <= MAX_TRAJECTORY_STEPS:
+        raise ValueError(f"t_max must be in [0, {MAX_TRAJECTORY_STEPS}], got {t_max}")
+    return t_max
 
 
 def apply_oracle(state: QuantumState, marked: MarkedSet) -> QuantumState:
@@ -101,6 +123,30 @@ class Trajectory:
                 )
                 fh.write(str(step.t) + "," + ",".join(format(c, ".17g") for c in cols) + "\n")
 
+    def write_snapshots(self, path) -> None:
+        """Write the full snapshots as {"n": n, "states": [[[re, im], ...], ...]}.
+
+        The bytes are those of ``harness.write_json`` on that dict: sorted
+        keys and indent=2, one number per line.  ``json.dump`` with an
+        indent always runs the pure-Python encoder, so each chunk of
+        amplitudes is encoded by ``json.dumps`` (the C encoder) instead,
+        and its separators are replaced by the indented ones.
+        """
+        if self.steps[0].state is None:
+            raise ValueError("the trajectory holds no snapshots; evolve with record_full_states")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f'{{\n  "n": {json.dumps(self.n)},\n  "states": [')
+            for i, step in enumerate(self.steps):
+                fh.write(("," if i else "") + "\n    [\n      [\n        ")
+                amps = step.state.amplitudes
+                for start in range(0, amps.size, _SAVE_CHUNK):
+                    if start:
+                        fh.write(_PAIR_SEP)
+                    text = json.dumps(_amplitude_pairs(amps[start:start + _SAVE_CHUNK]))[2:-2]
+                    fh.write(text.replace("], [", _PAIR_SEP).replace(", ", _RE_IM_SEP))
+                fh.write("\n      ]\n    ]")
+            fh.write("\n  ]\n}\n")
+
 
 def evolve(
     state: QuantumState,
@@ -114,12 +160,11 @@ def evolve(
     probability and the moment summary are stored per step; full state
     snapshots (2^n amplitudes per step) are kept only when
     ``record_full_states`` is set; more than ``MAX_SNAPSHOT_AMPLITUDES``
-    snapshot amplitudes in all, (t_max + 1) * 2^n, is a ``ValueError``.
+    snapshot amplitudes in all, (t_max + 1) * 2^n, is a ``ValueError``,
+    and so is a ``t_max`` above ``MAX_TRAJECTORY_STEPS``.
     """
     _check_compatible(state, marked)
-    t_max = _as_index(t_max, "t_max")
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    t_max = _as_step_count(t_max)
     if record_full_states and (t_max + 1) << state.n > MAX_SNAPSHOT_AMPLITUDES:
         raise ValueError(
             f"full snapshots of {t_max + 1} steps at n={state.n} exceed "

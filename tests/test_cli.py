@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from groverdyn import MarkedSet, evolve, load_state
+from groverdyn import MarkedSet, _kernels, evolve, load_state
 from groverdyn.cli import main
 from groverdyn.harness import write_json
 
@@ -87,6 +88,21 @@ def test_simulate_full_snapshots_beyond_limit_exits_2(tmp_path, capsys):
     assert code == 2
     assert "snapshots" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_steps_beyond_trajectory_limit_exit_2(tmp_path, capsys, command):
+    # 100,001 steps are one more than a trajectory may record; nothing is
+    # iterated and no file is written.
+    out = tmp_path / "out"
+    with mock.patch.object(_kernels, "run_grover", side_effect=AssertionError("iterated")):
+        code = main([
+            command, "--state", "eta", "--n", "1", "--marked", "0",
+            "--steps", "100001", "--out", str(out),
+        ])
+    assert code == 2
+    assert "t_max must be in [0, 100000]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_rejects_bad_marked(tmp_path, capsys):

@@ -17,9 +17,10 @@ from groverdyn import (
     save_state,
     sweep_marked_sets,
 )
-from groverdyn import harness, optimal_iterations
+from groverdyn import _kernels, harness, optimal_iterations
 from groverdyn._kernels import run_grover
 from groverdyn.harness import _sample_marked_sets, _select_marked_sets
+from groverdyn.simulator import MAX_TRAJECTORY_STEPS
 from helpers import two_cycle_state
 from groverdyn import MarkedSet
 
@@ -111,6 +112,14 @@ def test_config_rejects_non_integer_counts(field):
         ExperimentConfig(n=3, r=1, **{field: 2.5})
 
 
+def test_config_bounds_t_max_like_evolve():
+    assert ExperimentConfig(n=3, r=1, t_max=MAX_TRAJECTORY_STEPS).t_max == MAX_TRAJECTORY_STEPS
+    with pytest.raises(ValueError, match="t_max must be in"):
+        ExperimentConfig(n=3, r=1, t_max=MAX_TRAJECTORY_STEPS + 1)
+    with pytest.raises(ValueError, match="t_max must be in"):
+        ExperimentConfig(n=3, r=1, t_max=-1)
+
+
 def test_config_rejects_non_integer_marked_index():
     with pytest.raises(ValueError, match="marked index must be an integer"):
         ExperimentConfig(n=3, r=1, marked=(1.7,))
@@ -175,23 +184,31 @@ def per_set_p_values(config):
     seed=st.integers(0, 2**32 - 1),
     samples=st.one_of(st.none(), st.integers(1, 60)),
     rows=st.integers(1, 7),
+    row_wise_min=st.one_of(st.none(), st.integers(1, 1 << 6)),
 )
-def test_sweep_matches_per_set_loop(n, r, seed, samples, rows):
+def test_sweep_matches_per_set_loop(n, r, seed, samples, rows, row_wise_min):
     # samples=None enumerates every set; a block of `rows` rows mostly
-    # leaves a partial last block.
+    # leaves a partial last block.  A lowered row-wise threshold sends
+    # these short rows through the kernel's per-row reflection.
     r = min(r, (1 << n) - 1)
     if samples is None and math.comb(1 << n, r) > 2000:
         samples = 60
     config = ExperimentConfig(n=n, r=r, state_spec="haar", samples=samples, seed=seed)
-    with mock.patch.object(harness, "_BLOCK_AMPLITUDES", rows << n):
+    threshold = _kernels._ROW_WISE_MIN_AMPLITUDES if row_wise_min is None else row_wise_min
+    with mock.patch.object(harness, "_BLOCK_AMPLITUDES", rows << n), mock.patch.object(
+        _kernels, "_ROW_WISE_MIN_AMPLITUDES", threshold
+    ):
         summary = sweep_marked_sets(config)
     assert summary.p_values == per_set_p_values(config)
 
 
-@pytest.mark.parametrize("n, r, samples", [(10, 1, 100), (12, 2, 20), (3, 2, None)])
+@pytest.mark.parametrize(
+    "n, r, samples", [(10, 1, 100), (11, 1, 40), (12, 2, 20), (3, 2, None)]
+)
 def test_sweep_matches_per_set_loop_at_default_block_size(n, r, samples):
-    # 100 rows at n = 10 (32 a block) and 20 at n = 12 (8 a block) leave a
-    # partial last block; n = 3 fits all 28 sets in one partial block.
+    # 100 rows at n = 10 (32 a block), 40 at n = 11 (16 a block) and 20 at
+    # n = 12 (8 a block) leave a partial last block; n = 3 fits all 28 sets
+    # in one partial block.  n = 11 and 12 reflect row by row.
     config = ExperimentConfig(n=n, r=r, state_spec="haar", samples=samples, seed=11)
     assert sweep_marked_sets(config).p_values == per_set_p_values(config)
 
