@@ -13,10 +13,6 @@ import numpy as np
 
 NAME = "python"
 
-# Rows at least this long are reflected one row at a time, about a scalar
-# mean; shorter rows in one broadcast subtract (see ``run_grover_block``).
-_ROW_WISE_MIN_AMPLITUDES = 1 << 11
-
 
 def run_grover(amps: np.ndarray, marked: np.ndarray, steps: int) -> None:
     """Apply ``steps`` Grover iterations to ``amps`` in place.
@@ -43,12 +39,11 @@ def run_grover_block(block: np.ndarray, marked: np.ndarray, steps: int) -> None:
     exact, and the reflection takes the row mean, doubles it and subtracts,
     in the same order and with the same reductions.
 
-    The reflection has two forms.  Rows of fewer than
-    ``_ROW_WISE_MIN_AMPLITUDES`` amplitudes subtract the ``(B, 1)`` block of
-    doubled means in one broadcast call.  numpy runs that broadcast through
-    its buffered iterator, at about twice the cost per amplitude of a scalar
-    subtracted over a contiguous row, so longer rows take one scalar
-    subtract per row, where the saving outweighs the Python call.
+    Each row's doubled mean is subtracted from it as a scalar, one call per
+    row.  One broadcast subtract of the ``(B, 1)`` means would go through
+    numpy's buffered iterator, which copies rows shorter than its buffer
+    (8192 elements) and so costs about twice as much per amplitude.  The
+    call per row costs more than that below about 2^11 amplitudes a row.
 
     Parameters
     ----------
@@ -69,18 +64,15 @@ def run_grover_block(block: np.ndarray, marked: np.ndarray, steps: int) -> None:
     cells = (np.arange(rows, dtype=np.intp)[:, None] * num_states + marked).ravel()
     mean = np.empty((rows, 1), dtype=block.dtype)
     # Each (1,) view of ``mean`` is subtracted from its row as a scalar.
-    row_means = list(zip(mean, block)) if num_states >= _ROW_WISE_MIN_AMPLITUDES else None
+    row_means = list(zip(mean, block))
     for _ in range(steps):
         flat[cells] = -flat[cells]
         # The reductions np.mean runs, without its Python wrapper.
         np.add.reduce(block, axis=1, keepdims=True, out=mean)
         np.true_divide(mean, num_states, out=mean)
         mean *= 2.0
-        if row_means is None:
-            np.subtract(mean, block, out=block)
-        else:
-            for mean_b, row_b in row_means:
-                np.subtract(mean_b, row_b, out=row_b)
+        for mean_b, row_b in row_means:
+            np.subtract(mean_b, row_b, out=row_b)
 
 
 def available_backends() -> tuple[str, ...]:

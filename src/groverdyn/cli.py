@@ -22,6 +22,7 @@ from .harness import (
     resolve_state,
     sweep_marked_sets,
     write_json,
+    write_snapshots,
 )
 from .simulator import evolve
 
@@ -110,7 +111,7 @@ def _cmd_simulate(args) -> int:
     trajectory = evolve(state, marked, args.steps, record_full_states=args.full_snapshots)
     trajectory.write_csv(args.out)
     if args.full_snapshots:
-        trajectory.write_snapshots(args.out + ".states.json")
+        write_snapshots(args.out + ".states.json", trajectory)
     return EXIT_OK
 
 

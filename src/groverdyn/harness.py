@@ -20,8 +20,8 @@ from .analytic import (
     compute_params,
     optimal_iterations,
 )
-from .core import MarkedSet, QuantumState, _as_index, _as_qubit_count, load_state
-from .simulator import _as_step_count, evolve
+from .core import MarkedSet, QuantumState, _as_index, _as_qubit_count, _write_pairs, load_state
+from .simulator import Trajectory, _as_step_count, evolve
 from . import _kernels
 
 # Enumerate all C(N, r) marked sets up to this count; sample beyond it.
@@ -31,7 +31,7 @@ DEFAULT_SAMPLES = 2000
 
 # A sweep simulates its marked sets in blocks of this many amplitudes
 # (512 KiB of complex128), one row per set.  Of 2^14, 2^15 and 2^16 it
-# was the fastest at n = 12 and within 7% of the fastest at n = 10.
+# was the fastest at n = 12 and tied with 2^16 at n = 10.
 _BLOCK_AMPLITUDES = 1 << 15
 
 STATE_BUILDERS = ("eta", "basis", "ghz", "w", "zero_mean", "haar", "k_uniform")
@@ -326,3 +326,27 @@ def write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+# What ``write_json`` puts between two [re, im] pairs of one snapshot, and
+# between the parts of one pair, in {"n": ..., "states": [[[re, im], ...]]}.
+_SNAPSHOT_PAIR_SEP = "\n      ],\n      [\n        "
+_SNAPSHOT_RE_IM_SEP = ",\n        "
+
+
+def write_snapshots(path, trajectory: Trajectory) -> None:
+    """Write the full snapshots of ``trajectory`` as {"n": n, "states": [...]}.
+
+    The bytes are those of ``write_json`` on that dict, whose indent makes
+    ``json.dump`` run the pure-Python encoder; ``_write_pairs`` encodes the
+    pairs with the C encoder and lays them out in the same lines.
+    """
+    if trajectory.steps[0].state is None:
+        raise ValueError("the trajectory holds no snapshots; evolve with record_full_states")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{{\n  "n": {json.dumps(trajectory.n)},\n  "states": [')
+        for i, step in enumerate(trajectory.steps):
+            fh.write(("," if i else "") + "\n    [\n      [\n        ")
+            _write_pairs(fh, step.state.amplitudes, _SNAPSHOT_PAIR_SEP, _SNAPSHOT_RE_IM_SEP)
+            fh.write("\n      ]\n    ]")
+        fh.write("\n  ]\n}\n")

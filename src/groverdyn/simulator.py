@@ -8,7 +8,6 @@ an N x N operator.  One ``grover_iterate`` is the composition of the two.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,6 @@ from .core import (
     MarkedSet,
     MomentSummary,
     QuantumState,
-    _SAVE_CHUNK,
-    _amplitude_pairs,
     _as_index,
     _check_compatible,
     _moments_from_array,
@@ -35,11 +32,6 @@ MAX_SNAPSHOT_AMPLITUDES = 1 << 22
 # records; it covers ``compare``'s default 4 * tau at n = 24, r = 1
 # (12,864 steps) several times over.
 MAX_TRAJECTORY_STEPS = 100_000
-
-# What ``write_json``'s indent=2 layout puts between two [re, im] pairs of
-# one snapshot, and between the real and imaginary part of one pair.
-_PAIR_SEP = "\n      ],\n      [\n        "
-_RE_IM_SEP = ",\n        "
 
 
 def _as_step_count(t_max) -> int:
@@ -122,30 +114,6 @@ class Trajectory:
                     m.sigma_u,
                 )
                 fh.write(str(step.t) + "," + ",".join(format(c, ".17g") for c in cols) + "\n")
-
-    def write_snapshots(self, path) -> None:
-        """Write the full snapshots as {"n": n, "states": [[[re, im], ...], ...]}.
-
-        The bytes are those of ``harness.write_json`` on that dict: sorted
-        keys and indent=2, one number per line.  ``json.dump`` with an
-        indent always runs the pure-Python encoder, so each chunk of
-        amplitudes is encoded by ``json.dumps`` (the C encoder) instead,
-        and its separators are replaced by the indented ones.
-        """
-        if self.steps[0].state is None:
-            raise ValueError("the trajectory holds no snapshots; evolve with record_full_states")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f'{{\n  "n": {json.dumps(self.n)},\n  "states": [')
-            for i, step in enumerate(self.steps):
-                fh.write(("," if i else "") + "\n    [\n      [\n        ")
-                amps = step.state.amplitudes
-                for start in range(0, amps.size, _SAVE_CHUNK):
-                    if start:
-                        fh.write(_PAIR_SEP)
-                    text = json.dumps(_amplitude_pairs(amps[start:start + _SAVE_CHUNK]))[2:-2]
-                    fh.write(text.replace("], [", _PAIR_SEP).replace(", ", _RE_IM_SEP))
-                fh.write("\n      ]\n    ]")
-            fh.write("\n  ]\n}\n")
 
 
 def evolve(

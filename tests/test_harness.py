@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,19 +11,26 @@ from hypothesis import strategies as st
 from groverdyn import (
     ConfigurationError,
     ExperimentConfig,
+    QuantumState,
     averaged_success,
     build_state,
     compare_run,
+    evolve,
     load_state,
     resolve_state,
     save_state,
     sweep_marked_sets,
 )
-from groverdyn import _kernels, harness, optimal_iterations
+from groverdyn import core, harness, optimal_iterations
 from groverdyn._kernels import run_grover
-from groverdyn.harness import _sample_marked_sets, _select_marked_sets
+from groverdyn.harness import (
+    _sample_marked_sets,
+    _select_marked_sets,
+    write_json,
+    write_snapshots,
+)
 from groverdyn.simulator import MAX_TRAJECTORY_STEPS
-from helpers import two_cycle_state
+from helpers import random_marked_set, random_state, two_cycle_state
 from groverdyn import MarkedSet
 
 
@@ -184,20 +193,15 @@ def per_set_p_values(config):
     seed=st.integers(0, 2**32 - 1),
     samples=st.one_of(st.none(), st.integers(1, 60)),
     rows=st.integers(1, 7),
-    row_wise_min=st.one_of(st.none(), st.integers(1, 1 << 6)),
 )
-def test_sweep_matches_per_set_loop(n, r, seed, samples, rows, row_wise_min):
+def test_sweep_matches_per_set_loop(n, r, seed, samples, rows):
     # samples=None enumerates every set; a block of `rows` rows mostly
-    # leaves a partial last block.  A lowered row-wise threshold sends
-    # these short rows through the kernel's per-row reflection.
+    # leaves a partial last block.
     r = min(r, (1 << n) - 1)
     if samples is None and math.comb(1 << n, r) > 2000:
         samples = 60
     config = ExperimentConfig(n=n, r=r, state_spec="haar", samples=samples, seed=seed)
-    threshold = _kernels._ROW_WISE_MIN_AMPLITUDES if row_wise_min is None else row_wise_min
-    with mock.patch.object(harness, "_BLOCK_AMPLITUDES", rows << n), mock.patch.object(
-        _kernels, "_ROW_WISE_MIN_AMPLITUDES", threshold
-    ):
+    with mock.patch.object(harness, "_BLOCK_AMPLITUDES", rows << n):
         summary = sweep_marked_sets(config)
     assert summary.p_values == per_set_p_values(config)
 
@@ -208,7 +212,7 @@ def test_sweep_matches_per_set_loop(n, r, seed, samples, rows, row_wise_min):
 def test_sweep_matches_per_set_loop_at_default_block_size(n, r, samples):
     # 100 rows at n = 10 (32 a block), 40 at n = 11 (16 a block) and 20 at
     # n = 12 (8 a block) leave a partial last block; n = 3 fits all 28 sets
-    # in one partial block.  n = 11 and 12 reflect row by row.
+    # in one partial block.
     config = ExperimentConfig(n=n, r=r, state_spec="haar", samples=samples, seed=11)
     assert sweep_marked_sets(config).p_values == per_set_p_values(config)
 
@@ -296,3 +300,54 @@ def test_compare_run_two_cycle_state(tmp_path):
 def test_compare_run_requires_marked_set():
     with pytest.raises(ConfigurationError, match="marked"):
         compare_run(ExperimentConfig(n=4, r=1, state_spec="eta"))
+
+
+def _snapshot_bytes_both_ways(trajectory):
+    with tempfile.TemporaryDirectory() as tmp:
+        chunked, reference = Path(tmp, "chunked.json"), Path(tmp, "reference.json")
+        write_snapshots(chunked, trajectory)
+        write_json(reference, {
+            "n": trajectory.n,
+            "states": [
+                [[float(a.real), float(a.imag)] for a in step.state.amplitudes]
+                for step in trajectory.steps
+            ],
+        })
+        return chunked.read_bytes(), reference.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    steps=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+    signed_zeros=st.booleans(),
+    data=st.data(),
+)
+def test_write_snapshots_matches_write_json(n, steps, seed, signed_zeros, data):
+    # A chunk of 1 to 2^n + 1 amplitudes: most snapshots span several.
+    chunk = data.draw(st.integers(1, (1 << n) + 1), label="chunk")
+    rng = np.random.default_rng(seed)
+    amps = random_state(n, rng).amplitudes.copy()
+    if signed_zeros:
+        amps[::2] = complex(-0.0, -0.0)
+    state = QuantumState.renormalized(n, amps)
+    marked = random_marked_set(n, int(rng.integers(1, 1 << n)), rng)
+    trajectory = evolve(state, marked, steps, record_full_states=True)
+    with mock.patch.object(core, "_SAVE_CHUNK", chunk):
+        chunked, reference = _snapshot_bytes_both_ways(trajectory)
+    assert chunked == reference
+
+
+def test_write_snapshots_matches_write_json_at_default_chunk():
+    # 2^15 amplitudes per snapshot: two chunks of the default size each.
+    state = random_state(15, np.random.default_rng(3))
+    trajectory = evolve(state, MarkedSet(1 << 15, (9, 30000)), 1, record_full_states=True)
+    chunked, reference = _snapshot_bytes_both_ways(trajectory)
+    assert chunked == reference
+
+
+def test_write_snapshots_needs_snapshots(tmp_path):
+    trajectory = evolve(build_state("eta", 2), MarkedSet(4, (1,)), 1)
+    with pytest.raises(ValueError, match="no snapshots"):
+        write_snapshots(tmp_path / "s.json", trajectory)

@@ -1,9 +1,7 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 
-from groverdyn import MarkedSet, QuantumState, _kernels, apply_diffusion, apply_oracle
+from groverdyn import MarkedSet, QuantumState, apply_diffusion, apply_oracle
 from groverdyn._kernels import (
     available_backends,
     backend_name,
@@ -51,15 +49,9 @@ def test_kernel_matches_oracle_then_diffusion(n, r, steps):
         (8, 5, 50, 3),
         (10, 8, 30, 4),
         (7, 9, 12, 16),
-        # Either side of the row-wise threshold (2^11 amplitudes): one row,
-        # a full block of the sweep's default size (32 rows at n = 10, 16 at
-        # n = 11, 8 at n = 12) and a partial last block.
-        (10, 2, 25, 1),
+        # Full blocks of the sweep's default size (32 rows at n = 10, 8 at
+        # n = 12), one row and a partial last block.
         (10, 3, 25, 32),
-        (10, 1, 25, 5),
-        (11, 1, 25, 1),
-        (11, 2, 25, 16),
-        (11, 3, 25, 7),
         (12, 1, 25, 1),
         (12, 2, 25, 8),
         (12, 4, 25, 3),
@@ -84,42 +76,6 @@ def test_block_kernel_matches_single_vector_kernel(n, r, steps, rows):
         # Same operations in the same order: the rows are bit-identical.
         assert np.array_equal(row, reference)
     assert np.array_equal(buffer[rows], amps)
-
-
-class _RecordingNumpy:
-    """numpy, with the first operand's shape of every ``subtract`` recorded."""
-
-    def __init__(self):
-        self.subtracted = []
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def subtract(self, x1, x2, **kwargs):
-        self.subtracted.append(np.shape(x1))
-        return np.subtract(x1, x2, **kwargs)
-
-
-@pytest.mark.parametrize(
-    "num_states, threshold, expected",
-    [
-        (1 << 10, 1 << 11, [(3, 1)]),
-        (1 << 11, 1 << 11, [(1,)] * 3),
-        (1 << 12, 1 << 11, [(1,)] * 3),
-        (16, 17, [(3, 1)]),
-        (16, 16, [(1,)] * 3),
-    ],
-)
-def test_block_kernel_reflection_form_follows_row_length(num_states, threshold, expected):
-    # Rows shorter than the threshold are reflected in one broadcast
-    # subtract per step; longer rows with one scalar subtract per row.
-    block = np.full((3, num_states), num_states**-0.5, dtype=np.complex128)
-    recorder = _RecordingNumpy()
-    with mock.patch.object(_kernels, "np", recorder), mock.patch.object(
-        _kernels, "_ROW_WISE_MIN_AMPLITUDES", threshold
-    ):
-        run_grover_block(block, np.array([[0], [1], [2]], dtype=np.intp), 2)
-    assert recorder.subtracted == expected * 2
 
 
 @pytest.mark.parametrize("bad", [-1, 16])

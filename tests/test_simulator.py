@@ -1,7 +1,5 @@
 import csv
 import math
-import tempfile
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,8 +19,7 @@ from groverdyn import (
     moments,
     success_probability,
 )
-from groverdyn import _kernels, optimal_iterations, simulator
-from groverdyn.harness import write_json
+from groverdyn import _kernels, optimal_iterations
 from groverdyn.simulator import MAX_SNAPSHOT_AMPLITUDES, MAX_TRAJECTORY_STEPS
 from helpers import random_marked_set, random_state, two_cycle_state
 
@@ -134,57 +131,6 @@ def test_evolve_zero_steps_returns_initial_record():
 def test_evolve_rejects_negative_t_max():
     with pytest.raises(ValueError):
         evolve(build_state("eta", 3), MarkedSet(8, (2,)), -1)
-
-
-def _snapshot_bytes_both_ways(trajectory):
-    with tempfile.TemporaryDirectory() as tmp:
-        chunked, reference = Path(tmp, "chunked.json"), Path(tmp, "reference.json")
-        trajectory.write_snapshots(chunked)
-        write_json(reference, {
-            "n": trajectory.n,
-            "states": [
-                [[float(a.real), float(a.imag)] for a in step.state.amplitudes]
-                for step in trajectory.steps
-            ],
-        })
-        return chunked.read_bytes(), reference.read_bytes()
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(1, 7),
-    steps=st.integers(0, 5),
-    seed=st.integers(0, 2**32 - 1),
-    signed_zeros=st.booleans(),
-    data=st.data(),
-)
-def test_write_snapshots_matches_write_json(n, steps, seed, signed_zeros, data):
-    # A chunk of 1 to 2^n + 1 amplitudes: most snapshots span several.
-    chunk = data.draw(st.integers(1, (1 << n) + 1), label="chunk")
-    rng = np.random.default_rng(seed)
-    amps = random_state(n, rng).amplitudes.copy()
-    if signed_zeros:
-        amps[::2] = complex(-0.0, -0.0)
-    state = QuantumState.renormalized(n, amps)
-    marked = random_marked_set(n, int(rng.integers(1, 1 << n)), rng)
-    trajectory = evolve(state, marked, steps, record_full_states=True)
-    with mock.patch.object(simulator, "_SAVE_CHUNK", chunk):
-        chunked, reference = _snapshot_bytes_both_ways(trajectory)
-    assert chunked == reference
-
-
-def test_write_snapshots_matches_write_json_at_default_chunk():
-    # 2^15 amplitudes per snapshot: two chunks of the default size each.
-    state = random_state(15, np.random.default_rng(3))
-    trajectory = evolve(state, MarkedSet(1 << 15, (9, 30000)), 1, record_full_states=True)
-    chunked, reference = _snapshot_bytes_both_ways(trajectory)
-    assert chunked == reference
-
-
-def test_write_snapshots_needs_snapshots(tmp_path):
-    trajectory = evolve(build_state("eta", 2), MarkedSet(4, (1,)), 1)
-    with pytest.raises(ValueError, match="no snapshots"):
-        trajectory.write_snapshots(tmp_path / "s.json")
 
 
 def test_evolve_bounds_full_snapshot_memory():
