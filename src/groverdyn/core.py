@@ -8,6 +8,7 @@ defensive copies.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -207,14 +208,35 @@ def _check_compatible(state: QuantumState, marked: MarkedSet) -> None:
         )
 
 
-def _moments_from_array(amps: np.ndarray, marked: MarkedSet) -> MomentSummary:
-    marked_amps = amps[marked.indices_array]
-    unmarked_amps = amps[marked.unmarked_indices]
+def _moments_from_array(
+    amps: np.ndarray, marked: MarkedSet, work: np.ndarray | None = None
+) -> MomentSummary:
+    """Moments of ``amps`` about ``marked``, reading ``amps`` only.
+
+    The unmarked amplitudes are never gathered.  Their mean is first
+    estimated as the total less the marked sum; ``work`` (complex128, the
+    length of ``amps``, allocated when None) then receives the deviations
+    from that estimate with the marked entries zeroed.  The residual mean
+    of the deviations corrects the estimate, which loses up to about
+    eps * |total| / (N - r) when almost every state is marked, and sigma_u
+    is the two-pass spread about the corrected mean.  A spread taken as
+    E|a|^2 - |mean|^2 instead would cancel to about sqrt(eps) * |mean|.
+    """
+    idx = marked.indices_array
+    num_unmarked = amps.size - marked.r
+    marked_amps = amps[idx]
     a_bar_m = complex(np.mean(marked_amps))
-    a_bar_u = complex(np.mean(unmarked_amps))
     sigma_m = math.sqrt(float(np.mean(np.abs(marked_amps - a_bar_m) ** 2)))
-    sigma_u = math.sqrt(float(np.mean(np.abs(unmarked_amps - a_bar_u) ** 2)))
-    return MomentSummary(a_bar_m, a_bar_u, sigma_m, sigma_u)
+    a_bar_u = complex(np.add.reduce(amps) - np.add.reduce(marked_amps)) / num_unmarked
+    if work is None:
+        work = np.empty_like(amps)
+    np.subtract(amps, a_bar_u, out=work)
+    work[idx] = 0.0
+    residual = complex(np.add.reduce(work)) / num_unmarked
+    # sum |w - residual|^2 = sum |w|^2 - (N - r) |residual|^2.
+    spread_sq = np.vdot(work, work).real / num_unmarked - abs(residual) ** 2
+    sigma_u = math.sqrt(max(spread_sq, 0.0))
+    return MomentSummary(a_bar_m, a_bar_u + residual, sigma_m, sigma_u)
 
 
 def moments(state: QuantumState, marked: MarkedSet) -> MomentSummary:
@@ -291,9 +313,22 @@ def _amplitudes_from_pairs(pairs) -> np.ndarray:
 
 
 def load_state(path) -> QuantumState:
-    """Read a state file, reject norm deviations > 1e-9, then renormalize."""
+    """Read a state file, reject norm deviations > 1e-9, then renormalize.
+
+    The cyclic garbage collector is paused while the JSON is decoded: the
+    2^n [re, im] lists it builds hold no reference cycles, yet their
+    allocation would set off collections that reclaim nothing.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            payload = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"malformed state file {path}: nested too deeply") from exc
+        finally:
+            if gc_was_enabled:
+                gc.enable()
     try:
         # JSON true/false load as bool, which operator.index takes as 1 or 0.
         if payload["n"].__class__ is bool:

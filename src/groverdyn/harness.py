@@ -218,8 +218,9 @@ def sweep_marked_sets(config: ExperimentConfig) -> SweepSummary:
 
     The sets are simulated together, one block row per set, with
     ``run_grover_block``; each P(tau) equals that of a lone ``run_grover``
-    run on the set.  Reports the sample mean, its standard error, and the
-    closed-form marked-set-averaged prediction N * |mean amplitude|^2.
+    run on the set.  Reports the sample mean, its standard error, and
+    N * |mean amplitude|^2, the closed form's leading term for r << N of
+    the marked-set average (see ``averaged_success``; it is not exact).
     """
     state = resolve_state(config.state_spec, config.n, seed=config.seed)
     tau = optimal_iterations(config.n, config.r)

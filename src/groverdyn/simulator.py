@@ -141,11 +141,12 @@ def evolve(
 
     idx = marked.indices_array
     amps = state.amplitudes.copy()
+    work = np.empty_like(amps)
     steps = []
     for t in range(t_max + 1):
         if t > 0:
             _kernels.run_grover(amps, idx, 1)
         p = float(np.sum(np.abs(amps[idx]) ** 2))
         snapshot = QuantumState._wrap(state.n, amps.copy()) if record_full_states else None
-        steps.append(TrajectoryStep(t, p, _moments_from_array(amps, marked), snapshot))
+        steps.append(TrajectoryStep(t, p, _moments_from_array(amps, marked, work), snapshot))
     return Trajectory(state.n, marked, tuple(steps))

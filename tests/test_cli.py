@@ -161,6 +161,14 @@ def test_classify_rejects_state_file_entries_that_are_not_numbers(tmp_path, caps
     assert "malformed state file" in capsys.readouterr().err
 
 
+def test_classify_rejects_deeply_nested_state_file(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(["classify", "--state", str(path), "--n", "2", "--marked", "0"])
+    assert code == 2
+    assert "malformed state file" in capsys.readouterr().err
+
+
 def test_classify_class_b_fixed_point_period(tmp_path, capsys):
     path = tmp_path / "class_b.json"
     h = 0.5 ** 0.5

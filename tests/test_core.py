@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -16,7 +17,7 @@ from groverdyn import (
     moments,
     save_state,
 )
-from groverdyn.core import _SAVE_CHUNK
+from groverdyn.core import _SAVE_CHUNK, _moments_from_array
 from helpers import random_marked_set, random_state
 
 
@@ -158,6 +159,53 @@ def test_moments_invariant_under_within_group_permutation():
         assert abs(getattr(mom, field) - getattr(mom2, field)) < 1e-15
 
 
+
+def _reference_moments(amps, mask):
+    # Brute force: boolean-mask gathers, then the two-pass mean and spread.
+    groups = []
+    for part in (amps[mask], amps[~mask]):
+        mean = part.mean()
+        groups.append((complex(mean), math.sqrt(float(np.mean(np.abs(part - mean) ** 2)))))
+    (a_bar_m, sigma_m), (a_bar_u, sigma_u) = groups
+    return a_bar_m, a_bar_u, sigma_m, sigma_u
+
+
+@st.composite
+def _states_and_marked_sets(draw):
+    n = draw(st.integers(1, 10))
+    num_states = 1 << n
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["haar", "zero_mean", "ghz", "w", "eta"]))
+    if kind == "haar":
+        state = random_state(n, np.random.default_rng(seed))
+    else:
+        state = build_state(kind, n, seed=seed if kind == "zero_mean" else None)
+    r = draw(st.one_of(st.just(1), st.just(num_states - 1), st.integers(1, num_states - 1)))
+    return state, random_marked_set(n, r, np.random.default_rng(seed + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_states_and_marked_sets())
+# eta with r = N - 1: the total less the marked sum alone is off by 2.5e-15.
+@example(case=(build_state("eta", 7), MarkedSet(128, tuple(range(1, 128)))))
+def test_moments_match_brute_force_reference(case):
+    state, marked = case
+    # state.amplitudes is read-only: a write into the input would raise.
+    got = _moments_from_array(state.amplitudes, marked)
+    want = _reference_moments(state.amplitudes, marked.mask)
+    for g, w in zip((got.a_bar_m, got.a_bar_u, got.sigma_m, got.sigma_u), want):
+        assert abs(g - w) <= 1e-15
+    # A work buffer left over from another state's call gives the same
+    # values, and a writable input comes back unchanged.
+    rng = np.random.default_rng(0)
+    work = np.empty(state.dim, dtype=np.complex128)
+    _moments_from_array(random_state(state.n, rng).amplitudes,
+                        random_marked_set(state.n, marked.r, rng), work)
+    amps = state.amplitudes.copy()
+    assert _moments_from_array(amps, marked, work) == got
+    assert _moments_from_array(amps, marked, work) == got
+    assert np.array_equal(amps, state.amplitudes)
+
 def test_inner_product_examples():
     eta = build_state("eta", 3)
     assert abs(inner_product(eta, eta) - 1.0) < 1e-14
@@ -290,6 +338,48 @@ def test_state_file_rejects_entries_that_are_not_numbers(tmp_path, payload):
     with pytest.raises(ValueError, match="malformed state file"):
         load_state(path)
 
+
+
+_DEEP_NESTING = {
+    # json's decoder recursed until this escaped as RecursionError.
+    "bare_lists": "[" * 100_000 + "]" * 100_000,
+    "nested_amplitudes": '{"n": 1, "amplitudes": ' + "[" * 5000 + "]" * 5000 + "}",
+}
+
+
+@pytest.mark.parametrize("text", _DEEP_NESTING.values(), ids=_DEEP_NESTING.keys())
+def test_state_file_rejects_deep_nesting(tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="malformed state file"):
+        load_state(path)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_enabled", "gc_disabled"])
+def test_load_state_leaves_gc_as_it_found_it(tmp_path, enabled):
+    good = tmp_path / "good.json"
+    save_state(build_state("ghz", 4), good)
+    deep = tmp_path / "deep.json"
+    deep.write_text(_DEEP_NESTING["bare_lists"])
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"n": 1, "amplitudes": [[1.0, 0.0], [0.0')
+    was_enabled = gc.isenabled()
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        load_state(good)
+        assert gc.isenabled() is enabled
+        for bad in (deep, truncated):
+            with pytest.raises(ValueError):
+                load_state(bad)
+            assert gc.isenabled() is enabled
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
 
 def test_state_file_rejects_bad_norm(tmp_path):
     path = tmp_path / "bad.json"

@@ -218,6 +218,12 @@ def test_standard_deviations_are_constants_of_motion():
         for step in traj.steps:
             assert abs(step.moments.sigma_m - sig_m0) < 1e-11
             assert abs(step.moments.sigma_u - sig_u0) < 1e-11
+    # eta keeps its unmarked amplitudes bit-equal, so sigma_u is 0 at every
+    # step.  A spread taken as E|a|^2 - |mean|^2 reads up to 5e-10.
+    for n in (12, 14):
+        marked = random_marked_set(n, 3, rng)
+        traj = evolve(build_state("eta", n), marked, 4 * optimal_iterations(n, 3))
+        assert max(step.moments.sigma_u for step in traj.steps) <= 1e-15
 
 
 def test_single_step_recursion_componentwise():
