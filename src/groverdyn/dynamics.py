@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
 from .analytic import compute_params
-from .core import MarkedSet, QuantumState, _as_index, _check_compatible
+from .core import MarkedSet, QuantumState, _as_index
+from .simulator import _registers
 
 # Acceptance window for treating omega/pi as the rational it rounds to,
 # and the largest denominator tried by the continued-fraction expansion.
@@ -126,17 +126,16 @@ def detect_cycle(
     amplitudes as a dynamical system.  With ``up_to_phase`` the criterion
     is the phase-insensitive fidelity |<phi|U_G^k|phi>|^2 >= 1 - tol;
     that can halve the reported period when an iterate is a global sign
-    flip of the initial state.
+    flip of the initial state.  ``max_period`` is at most
+    ``MAX_TRAJECTORY_STEPS``, the bound on every trajectory.
     """
-    _check_compatible(state, marked)
     max_period = _as_index(max_period, "max_period")
     if max_period < 1:
         raise ValueError(f"max_period must be >= 1, got {max_period}")
     initial = state.amplitudes
-    amps = initial.copy()
-    idx = marked.indices_array
-    for k in range(1, max_period + 1):
-        _kernels.run_grover(amps, idx, 1)
+    registers = _registers(state, marked, max_period, "max_period")
+    next(registers)  # t = 0, the initial state; checks the arguments
+    for k, amps in enumerate(registers, start=1):
         overlap = complex(np.vdot(initial, amps))
         if up_to_phase:
             if 1.0 - abs(overlap) ** 2 <= tol:

@@ -21,7 +21,7 @@ from .analytic import (
     optimal_iterations,
 )
 from .core import MarkedSet, QuantumState, _as_index, _as_qubit_count, _write_pairs, load_state
-from .simulator import Trajectory, _as_step_count, evolve
+from .simulator import Trajectory, _as_step_count, _p_marked, _registers
 from . import _kernels
 
 # Enumerate all C(N, r) marked sets up to this count; sample beyond it.
@@ -178,11 +178,22 @@ class SweepSummary:
 
 
 def _sample_marked_sets(num_states: int, r: int, count: int, seed: int | None):
+    """``count`` distinct sorted r-subsets of range(num_states), seeded.
+
+    Up to half of the C(N, r) sets are drawn one at a time, each retried
+    until it is new.  Above half that loop turns into a coupon collector,
+    so the sets are enumerated (C(N, r) < 2 * EXHAUSTIVE_LIMIT there) and
+    one draw without replacement picks ``count`` of them.
+    """
     if seed is None:
         raise ConfigurationError(
             "sampling marked sets requires a seed for reproducibility"
         )
     rng = np.random.default_rng(seed)
+    total = math.comb(num_states, r)
+    if 2 * count > total:
+        every = list(combinations(range(num_states), r))
+        return [every[i] for i in rng.choice(total, count, replace=False)]
     chosen: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     while len(chosen) < count:
@@ -292,21 +303,24 @@ class ComparisonReport:
 
 
 def compare_run(config: ExperimentConfig) -> ComparisonReport:
-    """Evolve one explicit marked set and tabulate simulator vs closed form."""
+    """Evolve one explicit marked set and tabulate simulator vs closed form.
+
+    The simulated P(t) is the marked probability of the register itself,
+    read at every step exactly as ``evolve`` reads it; no moments are
+    computed along the way.
+    """
     if config.marked is None:
         raise ConfigurationError("compare_run needs an explicit marked set")
     state = resolve_state(config.state_spec, config.n, seed=config.seed)
     marked = MarkedSet(1 << config.n, config.marked)
     params = compute_params(state, marked)
     t_max = config.t_max if config.t_max is not None else 4 * params.tau
-    trajectory = evolve(state, marked, t_max)
-
+    idx = marked.indices_array
     rows = []
-    for step in trajectory.steps:
-        p_analytic = analytic_success(params, step.t)
-        rows.append(
-            ComparisonRow(step.t, step.p_marked, p_analytic, abs(step.p_marked - p_analytic))
-        )
+    for t, amps in enumerate(_registers(state, marked, t_max)):
+        p_sim = _p_marked(amps, idx)
+        p_analytic = analytic_success(params, t)
+        rows.append(ComparisonRow(t, p_sim, p_analytic, abs(p_sim - p_analytic)))
     return ComparisonReport(
         n=config.n,
         r=config.r,

@@ -34,12 +34,36 @@ MAX_SNAPSHOT_AMPLITUDES = 1 << 22
 MAX_TRAJECTORY_STEPS = 100_000
 
 
-def _as_step_count(t_max) -> int:
+def _as_step_count(t_max, what: str = "t_max") -> int:
     """Validate a trajectory length: an integer in [0, MAX_TRAJECTORY_STEPS]."""
-    t_max = _as_index(t_max, "t_max")
+    t_max = _as_index(t_max, what)
     if not 0 <= t_max <= MAX_TRAJECTORY_STEPS:
-        raise ValueError(f"t_max must be in [0, {MAX_TRAJECTORY_STEPS}], got {t_max}")
+        raise ValueError(f"{what} must be in [0, {MAX_TRAJECTORY_STEPS}], got {t_max}")
     return t_max
+
+
+def _registers(state: QuantumState, marked: MarkedSet, t_max, what: str = "t_max"):
+    """Yield the register after t = 0, 1, ..., t_max Grover iterations.
+
+    The one stepping loop behind ``evolve``, ``compare_run`` and
+    ``detect_cycle``.  The arguments are checked when the first item is
+    asked for, before any step.  Every item is the same array, a copy of
+    ``state``'s amplitudes that one ``run_grover`` step updates in place
+    between items: read it before asking for the next one, and copy what
+    must outlive the step.
+    """
+    _check_compatible(state, marked)
+    t_max = _as_step_count(t_max, what)
+    amps = state.amplitudes.copy()
+    idx = marked.indices_array
+    yield amps
+    for _ in range(t_max):
+        _kernels.run_grover(amps, idx, 1)
+        yield amps
+
+
+def _p_marked(amps: np.ndarray, idx: np.ndarray) -> float:
+    return float(np.sum(np.abs(amps[idx]) ** 2))
 
 
 def apply_oracle(state: QuantumState, marked: MarkedSet) -> QuantumState:
@@ -67,7 +91,7 @@ def grover_iterate(state: QuantumState, marked: MarkedSet) -> QuantumState:
 def success_probability(state: QuantumState, marked: MarkedSet) -> float:
     """Probability that measuring the register yields a marked state."""
     _check_compatible(state, marked)
-    return float(np.sum(np.abs(state.amplitudes[marked.indices_array]) ** 2))
+    return _p_marked(state.amplitudes, marked.indices_array)
 
 
 @dataclass(frozen=True)
@@ -131,7 +155,6 @@ def evolve(
     snapshot amplitudes in all, (t_max + 1) * 2^n, is a ``ValueError``,
     and so is a ``t_max`` above ``MAX_TRAJECTORY_STEPS``.
     """
-    _check_compatible(state, marked)
     t_max = _as_step_count(t_max)
     if record_full_states and (t_max + 1) << state.n > MAX_SNAPSHOT_AMPLITUDES:
         raise ValueError(
@@ -140,13 +163,10 @@ def evolve(
         )
 
     idx = marked.indices_array
-    amps = state.amplitudes.copy()
-    work = np.empty_like(amps)
+    work = np.empty_like(state.amplitudes)
     steps = []
-    for t in range(t_max + 1):
-        if t > 0:
-            _kernels.run_grover(amps, idx, 1)
-        p = float(np.sum(np.abs(amps[idx]) ** 2))
+    for t, amps in enumerate(_registers(state, marked, t_max)):
+        moments = _moments_from_array(amps, marked, work)
         snapshot = QuantumState._wrap(state.n, amps.copy()) if record_full_states else None
-        steps.append(TrajectoryStep(t, p, _moments_from_array(amps, marked, work), snapshot))
+        steps.append(TrajectoryStep(t, _p_marked(amps, idx), moments, snapshot))
     return Trajectory(state.n, marked, tuple(steps))

@@ -105,6 +105,17 @@ def test_steps_beyond_trajectory_limit_exit_2(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_classify_max_period_beyond_trajectory_limit_exit_2(capsys):
+    # The cycle search steps like a trajectory and has the same bound.
+    with mock.patch.object(_kernels, "run_grover", side_effect=AssertionError("iterated")):
+        code = main(["classify", "--state", "eta", "--n", "4", "--marked", "1",
+                     "--max-period", "100001"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "max_period must be in [0, 100000]" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_rejects_bad_marked(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = main([
@@ -228,6 +239,27 @@ def test_avg_success_deterministic_output(tmp_path):
     assert main(args_template + ["--out", str(out1)]) == 0
     assert main(args_template + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_avg_success_sampled_output_is_pinned(tmp_path):
+    # The sampled avg-success command the benchmark times, for one seed:
+    # 2000 of C(4096, 2) sets are drawn one at a time, as they always were.
+    out = tmp_path / "avg.json"
+    assert main(["avg-success", "--state", "ghz", "--n", "12", "--r", "2",
+                 "--samples", "2000", "--seed", "11", "--out", str(out)]) == 0
+    assert out.read_text() == (
+        '{\n'
+        '  "analytic_prediction": 0.0004882812499999999,\n'
+        '  "exhaustive": false,\n'
+        '  "mean_p": 0.0007382814182108631,\n'
+        '  "n": 12,\n'
+        '  "num_sets": 2000,\n'
+        '  "r": 2,\n'
+        '  "seed": 11,\n'
+        '  "std_error": 0.00017676077096664356,\n'
+        '  "tau": 35\n'
+        '}\n'
+    )
 
 
 def test_classify_output(capsys):

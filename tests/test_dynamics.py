@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from groverdyn import (
     inner_product,
     moments,
 )
+from groverdyn import _kernels
+from groverdyn.simulator import MAX_TRAJECTORY_STEPS
 from helpers import constant_p_state, random_marked_set, random_state, two_cycle_state
 
 
@@ -181,6 +184,32 @@ def test_classify_rejects_bad_tol():
 def test_detect_cycle_rejects_non_integer_max_period():
     with pytest.raises(ValueError, match="max_period must be an integer"):
         detect_cycle(build_state("eta", 3), MarkedSet(8, (1,)), 2.5)
+
+
+def test_detect_cycle_rejects_max_period_below_one():
+    with pytest.raises(ValueError, match="max_period must be >= 1"):
+        detect_cycle(build_state("eta", 3), MarkedSet(8, (1,)), 0)
+
+
+def test_detect_cycle_bounds_max_period_before_stepping():
+    # Through the shared stepping loop a search is a trajectory, bounded
+    # like every other; nothing is iterated before the bound is checked.
+    state, marked = build_state("eta", 3), MarkedSet(8, (1,))
+    with mock.patch.object(_kernels, "run_grover", side_effect=AssertionError("iterated")):
+        with pytest.raises(ValueError, match=rf"max_period must be in \[0, {MAX_TRAJECTORY_STEPS}\]"):
+            detect_cycle(state, marked, MAX_TRAJECTORY_STEPS + 1)
+    fixed_point = build_fixed_point(MarkedSet(8, (0, 1)), np.array([1.0, -1.0]) / math.sqrt(2))
+    assert detect_cycle(fixed_point, MarkedSet(8, (0, 1)), MAX_TRAJECTORY_STEPS) == 1
+
+
+def test_detect_cycle_stops_at_first_recurrence():
+    # One kernel step per k tried, none past the period found.
+    state = build_state("eta", 4)
+    marked = MarkedSet(16, (0, 1, 2, 3))
+    with mock.patch.object(_kernels, "run_grover", wraps=_kernels.run_grover) as kernel:
+        assert detect_cycle(state, marked, 12) == 6
+    assert kernel.call_count == 6
+    assert all(call.args[2] == 1 for call in kernel.call_args_list)
 
 
 def test_detect_cycle_period_six():

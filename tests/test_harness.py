@@ -21,7 +21,7 @@ from groverdyn import (
     save_state,
     sweep_marked_sets,
 )
-from groverdyn import core, harness, optimal_iterations
+from groverdyn import core, harness, optimal_iterations, simulator
 from groverdyn._kernels import run_grover
 from groverdyn.harness import (
     _sample_marked_sets,
@@ -217,11 +217,71 @@ def test_sweep_matches_per_set_loop_at_default_block_size(n, r, samples):
     assert sweep_marked_sets(config).p_values == per_set_p_values(config)
 
 
+# _sample_marked_sets(64, 2, 100, seed=3) as drawn one set at a time; the
+# draws for counts up to half of C(N, r) must not change.
+_PINNED_SAMPLE = [
+    (5, 51), (11, 14), (37, 54), (5, 21), (30, 39), (10, 44), (2, 7), (24, 56), (26, 27),
+    (11, 36), (47, 61), (17, 20), (40, 44), (18, 60), (4, 62), (8, 18), (2, 57), (15, 36),
+    (11, 49), (1, 16), (23, 32), (5, 38), (32, 59), (13, 38), (15, 19), (18, 46), (13, 41),
+    (52, 53), (0, 43), (51, 58), (48, 60), (24, 55), (24, 57), (9, 24), (44, 51), (39, 55),
+    (17, 33), (25, 63), (38, 59), (11, 50), (11, 47), (20, 36), (30, 58), (15, 54), (10, 56),
+    (39, 61), (32, 38), (38, 50), (49, 62), (23, 33), (5, 17), (13, 45), (31, 54), (4, 18),
+    (19, 31), (35, 61), (1, 44), (34, 47), (44, 52), (18, 43), (10, 23), (5, 42), (4, 42),
+    (19, 35), (2, 12), (8, 39), (30, 61), (45, 49), (24, 42), (33, 38), (24, 43), (19, 23),
+    (5, 25), (21, 46), (30, 31), (5, 19), (4, 58), (35, 46), (0, 60), (53, 63), (8, 52),
+    (30, 34), (21, 26), (30, 36), (20, 35), (10, 37), (6, 39), (24, 58), (44, 55), (6, 10),
+    (32, 36), (42, 55), (12, 20), (53, 59), (15, 53), (8, 17), (17, 21), (34, 39), (59, 63),
+    (26, 49),
+]
+
+
 def test_sample_marked_sets_unique_and_seeded():
     sets = _sample_marked_sets(64, 2, 100, seed=3)
     assert len(sets) == len(set(sets)) == 100
     assert all(len(s) == 2 and s[0] < s[1] for s in sets)
     assert sets == _sample_marked_sets(64, 2, 100, seed=3)
+    assert sets == _PINNED_SAMPLE
+
+
+class _CountingRng:
+    """A numpy Generator that counts the draws made through it."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def draw(*args, **kwargs):
+            self.draws += 1
+            return method(*args, **kwargs)
+
+        return draw
+
+
+@pytest.mark.parametrize("num_states, r", [(64, 3), (16, 1), (10, 9)])
+def test_sample_marked_sets_above_half_takes_one_draw(num_states, r):
+    # One set short of all C(N, r): drawing set by set until each is new
+    # would be a coupon collector (C(64, 3) = 41664 sets, about 430,000
+    # draws).
+    total = math.comb(num_states, r)
+    rngs = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        rngs.append(_CountingRng(default_rng(seed)))
+        return rngs[-1]
+
+    with mock.patch.object(np.random, "default_rng", counting_rng):
+        sets = _sample_marked_sets(num_states, r, total - 1, seed=8)
+    assert [rng.draws for rng in rngs] == [1]
+    assert len(sets) == len(set(sets)) == total - 1
+    assert all(
+        len(s) == r and list(s) == sorted(s) and 0 <= s[0] and s[-1] < num_states
+        for s in sets
+    )
+    assert all(type(i) is int for s in sets for i in s)
+    assert sets == _sample_marked_sets(num_states, r, total - 1, seed=8)
 
 
 def test_sampling_without_seed_is_configuration_error():
@@ -300,6 +360,47 @@ def test_compare_run_two_cycle_state(tmp_path):
 def test_compare_run_requires_marked_set():
     with pytest.raises(ConfigurationError, match="marked"):
         compare_run(ExperimentConfig(n=4, r=1, state_spec="eta"))
+
+
+@pytest.mark.parametrize("t_max", [None, 0, 1, 37])
+@pytest.mark.parametrize(
+    "spec, n, marked",
+    [("haar", 9, (3, 77, 400)), ("ghz", 10, (0, 5)), ("eta", 10, (7,)), ("two_cycle", 4, (0, 5))],
+)
+def test_compare_run_p_sim_is_evolve_p_marked(tmp_path, spec, n, marked, t_max):
+    # compare_run steps the register itself; its P(t) column must be the
+    # one evolve records, bit for bit, at the default horizon (4 tau) and
+    # at explicit ones.
+    if spec == "two_cycle":
+        spec = str(tmp_path / "two_cycle.json")
+        save_state(two_cycle_state(MarkedSet(1 << n, marked)), spec)
+    config = ExperimentConfig(
+        n=n, r=len(marked), state_spec=spec, marked=marked, t_max=t_max, seed=4
+    )
+    report = compare_run(config)
+    state = resolve_state(spec, n, seed=4)
+    expected = evolve(state, MarkedSet(1 << n, marked), report.rows[-1].t)
+    assert report.rows[-1].t == (4 * report.tau if t_max is None else t_max)
+    assert [row.t for row in report.rows] == [step.t for step in expected.steps]
+    assert np.array_equal(np.array([row.p_sim for row in report.rows]), expected.p_marked())
+
+
+def test_compare_run_computes_moments_once():
+    # The closed form's parameters need one moments pass; the stepping
+    # loop reads only P(t).
+    calls = []
+    moments_from_array = core._moments_from_array
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return moments_from_array(*args, **kwargs)
+
+    config = ExperimentConfig(n=8, r=2, state_spec="haar", marked=(1, 200), t_max=30, seed=2)
+    with mock.patch.object(core, "_moments_from_array", counting), \
+            mock.patch.object(simulator, "_moments_from_array", counting):
+        report = compare_run(config)
+    assert len(report.rows) == 31
+    assert len(calls) == 1
 
 
 def _snapshot_bytes_both_ways(trajectory):
