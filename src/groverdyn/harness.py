@@ -29,6 +29,11 @@ from . import _kernels
 EXHAUSTIVE_LIMIT = 100_000
 DEFAULT_SAMPLES = 2000
 
+# Most marked indices, sets x r, one sweep holds: 128 MiB of intp.  A
+# sweep keeps them twice, as tuples and as the (sets, r) array, and the
+# tuples cost several times the array.  n = 12, r = 4095 fits.
+MAX_SWEEP_INDICES = 1 << 24
+
 # A sweep simulates its marked sets in blocks of this many amplitudes
 # (512 KiB of complex128), one row per set.  Of 2^14, 2^15 and 2^16 it
 # was the fastest at n = 12 and tied with 2^16 at n = 10.
@@ -122,7 +127,8 @@ class ExperimentConfig:
     unset and C(N, r) is at most ``EXHAUSTIVE_LIMIT``; else ``samples``
     (default ``DEFAULT_SAMPLES``) seeded draws without replacement.
     Sweeping more than ``EXHAUSTIVE_LIMIT`` sets, enumerated or sampled,
-    is a ``ConfigurationError``.
+    or more than ``MAX_SWEEP_INDICES`` marked indices (sets x r), is a
+    ``ConfigurationError``, raised before any set is built.
     """
 
     n: int
@@ -218,6 +224,12 @@ def _select_marked_sets(config: ExperimentConfig):
         raise ConfigurationError(
             f"sweeping {count} of the C({num_states}, {config.r}) = {total} marked "
             f"sets exceeds the limit of {EXHAUSTIVE_LIMIT}; request at most that many"
+        )
+    if count * config.r > MAX_SWEEP_INDICES:
+        raise ConfigurationError(
+            f"sweeping {count} marked sets of r = {config.r} holds {count * config.r} "
+            f"indices, over the limit of MAX_SWEEP_INDICES = {MAX_SWEEP_INDICES}; "
+            "request fewer sets or a smaller r"
         )
     if count < total:
         return _sample_marked_sets(num_states, config.r, count, config.seed), False

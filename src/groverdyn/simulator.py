@@ -50,15 +50,17 @@ def _registers(state: QuantumState, marked: MarkedSet, t_max, what: str = "t_max
     asked for, before any step.  Every item is the same array, a copy of
     ``state``'s amplitudes that one ``run_grover`` step updates in place
     between items: read it before asking for the next one, and copy what
-    must outlive the step.
+    must outlive the step.  Each step passes on the register sum the last
+    one returned, so the register rounds as in one ``t_max``-step call.
     """
     _check_compatible(state, marked)
     t_max = _as_step_count(t_max, what)
     amps = state.amplitudes.copy()
     idx = marked.indices_array
+    total = None
     yield amps
     for _ in range(t_max):
-        _kernels.run_grover(amps, idx, 1)
+        total = _kernels.run_grover(amps, idx, 1, total)
         yield amps
 
 

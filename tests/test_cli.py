@@ -8,7 +8,7 @@ import pytest
 
 from groverdyn import MarkedSet, _kernels, evolve, load_state
 from groverdyn.cli import main
-from groverdyn.harness import write_json
+from groverdyn.harness import _sample_marked_sets, write_json
 
 
 def test_state_make_ghz(tmp_path):
@@ -215,6 +215,15 @@ def test_avg_success_sampling_beyond_limit_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_avg_success_index_limit_exits_3(tmp_path, capsys):
+    out = tmp_path / "a.json"
+    code = main(["avg-success", "--state", "eta", "--n", "13", "--r", "8191",
+                 "--out", str(out)])
+    assert code == 3
+    assert "MAX_SWEEP_INDICES" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_report_keys(tmp_path):
     out = tmp_path / "cmp.json"
     code = main([
@@ -244,6 +253,12 @@ def test_avg_success_deterministic_output(tmp_path):
 def test_avg_success_sampled_output_is_pinned(tmp_path):
     # The sampled avg-success command the benchmark times, for one seed:
     # 2000 of C(4096, 2) sets are drawn one at a time, as they always were.
+    # The GHZ state lives on {0, 4095}; how many drawn sets hit it 0, 1 and
+    # 2 times pins the sampler's choice exactly, apart from the kernel's
+    # rounding, which moves mean_p in its last digits.
+    sets = _sample_marked_sets(4096, 2, 2000, seed=11)
+    hits = [sum(i in (0, 4095) for i in s) for s in sets]
+    assert [hits.count(k) for k in range(3)] == [1998, 2, 0]
     out = tmp_path / "avg.json"
     assert main(["avg-success", "--state", "ghz", "--n", "12", "--r", "2",
                  "--samples", "2000", "--seed", "11", "--out", str(out)]) == 0
@@ -251,7 +266,7 @@ def test_avg_success_sampled_output_is_pinned(tmp_path):
         '{\n'
         '  "analytic_prediction": 0.0004882812499999999,\n'
         '  "exhaustive": false,\n'
-        '  "mean_p": 0.0007382814182108631,\n'
+        '  "mean_p": 0.0007382814182108645,\n'
         '  "n": 12,\n'
         '  "num_sets": 2000,\n'
         '  "r": 2,\n'

@@ -319,6 +319,23 @@ def test_sampled_sweep_beyond_limit_is_configuration_error():
             sweep_marked_sets(config)
 
 
+def test_sweep_index_limit_refuses_before_enumerating():
+    # C(8192, 8191) = 8192 sets is under the set limit, but 8192 x 8191
+    # indices are over MAX_SWEEP_INDICES: refused before any set is built.
+    config = ExperimentConfig(n=13, r=8191, state_spec="eta")
+    with mock.patch.object(harness, "combinations", side_effect=AssertionError("enumerated")):
+        with pytest.raises(ConfigurationError, match="MAX_SWEEP_INDICES"):
+            sweep_marked_sets(config)
+
+
+def test_sweep_index_limit_admits_n12_r4095():
+    assert 4096 * 4095 <= harness.MAX_SWEEP_INDICES < 8192 * 8191
+    config = ExperimentConfig(n=12, r=4095, state_spec="eta")
+    with mock.patch.object(harness, "combinations", return_value=iter([])) as enumerate_sets:
+        assert _select_marked_sets(config) == ([], True)
+    enumerate_sets.assert_called_once_with(range(4096), 4095)
+
+
 def test_sample_count_capped_at_population():
     summary = sweep_marked_sets(
         ExperimentConfig(n=4, r=1, state_spec="eta", samples=1000, seed=1)

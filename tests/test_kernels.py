@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverdyn import MarkedSet, QuantumState, apply_diffusion, apply_oracle
 from groverdyn._kernels import (
@@ -55,6 +57,10 @@ def test_kernel_matches_oracle_then_diffusion(n, r, steps):
         (12, 1, 25, 1),
         (12, 2, 25, 8),
         (12, 4, 25, 3),
+        # numpy sums more than 8 elements pairwise: the marked sums of
+        # these rows take that path.
+        (10, 12, 30, 4),
+        (12, 17, 25, 8),
     ],
 )
 def test_block_kernel_matches_single_vector_kernel(n, r, steps, rows):
@@ -96,3 +102,29 @@ def test_block_kernel_rejects_index_outside_its_row(bad):
 def test_block_kernel_rejects_malformed_block(block, marked, message):
     with pytest.raises(ValueError, match=message):
         run_grover_block(block, marked, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+    eta=st.booleans(),
+    steps=st.integers(0, 300),
+    data=st.data(),
+)
+def test_returned_sum_tracks_the_register(n, seed, eta, steps, data):
+    num_states = 1 << n
+    r = data.draw(st.integers(1, min(num_states - 1, 20)), label="r")
+    amps, marked = random_problem(n, r, seed)
+    if eta:
+        amps[:] = 1 / np.sqrt(num_states)
+    threaded = amps.copy()
+    total = run_grover(amps, marked, steps)
+    assert abs(total - np.add.reduce(amps)) <= 1e-13
+    # Passed from call to call, the sum makes 1-step calls round as one call.
+    carried = run_grover(threaded, marked, 0)
+    assert carried == np.add.reduce(threaded)
+    for _ in range(steps):
+        carried = run_grover(threaded, marked, 1, carried)
+    assert carried == total
+    assert np.array_equal(threaded, amps)

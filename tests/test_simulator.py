@@ -19,8 +19,8 @@ from groverdyn import (
     moments,
     success_probability,
 )
-from groverdyn import _kernels, optimal_iterations
-from groverdyn.simulator import MAX_SNAPSHOT_AMPLITUDES, MAX_TRAJECTORY_STEPS
+from groverdyn import _kernels, analytic_success, compute_params, optimal_iterations
+from groverdyn.simulator import MAX_SNAPSHOT_AMPLITUDES, MAX_TRAJECTORY_STEPS, _registers
 from helpers import random_marked_set, random_state, two_cycle_state
 
 
@@ -190,6 +190,33 @@ def test_unitarity_over_ten_thousand_iterations():
     run_grover(amps, marked.indices_array, k)
     drift = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
     assert drift < k * 1e-14
+
+
+@pytest.mark.parametrize("name", ["eta", "haar"])
+def test_gap_to_closed_form_at_trajectory_limit(name):
+    # The kernel carries the register sum instead of reducing it each step;
+    # its rounding must not build up over the longest trajectory allowed.
+    state = build_state(name, 10, seed=31)
+    marked = MarkedSet(1 << 10, (3, 77, 500))
+    for t, amps in enumerate(_registers(state, marked, MAX_TRAJECTORY_STEPS)):
+        pass
+    assert t == MAX_TRAJECTORY_STEPS
+    p_sim = float(np.sum(np.abs(amps[marked.indices_array]) ** 2))
+    p_closed = analytic_success(compute_params(state, marked), t)
+    assert abs(p_sim - p_closed) <= 1e-10
+
+
+@pytest.mark.parametrize("n, r, t_max", [(3, 1, 40), (8, 5, 60), (10, 17, 30)])
+def test_registers_round_as_one_kernel_call(n, r, t_max):
+    # Each 1-step call takes the sum the last one returned, so the register
+    # after t steps is bit-identical to one t-step call.
+    rng = np.random.default_rng(32 + n)
+    state = random_state(n, rng)
+    marked = random_marked_set(n, r, rng)
+    for t, amps in enumerate(_registers(state, marked, t_max)):
+        reference = state.amplitudes.copy()
+        _kernels.run_grover(reference, marked.indices_array, t)
+        assert np.array_equal(amps, reference), t
 
 
 @settings(max_examples=60, deadline=None)
