@@ -21,7 +21,6 @@ from .core import (
     MarkedSet,
     MomentSummary,
     QuantumState,
-    basis_label,
     inner_product,
     load_state,
     moments,
@@ -33,7 +32,6 @@ from .groverian import (
     ProductState,
     apply_local_unitaries,
     grid_search_oracle,
-    local_unitary_invariance_check,
     optimize_product,
     product_overlap,
 )
@@ -50,8 +48,6 @@ from .harness import (
 from .simulator import (
     Trajectory,
     TrajectoryStep,
-    apply_diffusion,
-    apply_oracle,
     evolve,
     grover_iterate,
     success_probability,
@@ -77,13 +73,10 @@ __all__ = [
     "analytic_amplitude_means",
     "analytic_amplitudes",
     "analytic_success",
-    "apply_diffusion",
     "apply_local_unitaries",
-    "apply_oracle",
     "available_backends",
     "averaged_success",
     "backend_name",
-    "basis_label",
     "build_fixed_point",
     "build_state",
     "classify",
@@ -95,7 +88,6 @@ __all__ = [
     "grover_iterate",
     "inner_product",
     "load_state",
-    "local_unitary_invariance_check",
     "moments",
     "optimal_iterations",
     "optimize_product",

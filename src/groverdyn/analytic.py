@@ -41,19 +41,17 @@ _DEGENERATE_RTOL = 1e-12
 class AnalyticParams:
     """Coefficients of the solved dynamics for one (state, marked set) pair.
 
-    ``alpha`` and ``delta`` are the amplitude scale and (possibly complex)
-    phase of the sinusoidal mean trajectory; when the scale vanishes the
-    phase is undefined and ``delta_defined`` is False, in which case the
-    success probability is constant.  ``omega`` is the exact rotation
-    frequency per iteration and ``z_plus``/``z_minus`` the rotating
-    coordinates at t = 0.  ``tau`` is the standard iteration count
-    floor(pi/4 * sqrt(N/r)); ``tau_m`` the state-dependent count
-    floor(0.5*sqrt(N/r)*(pi/2 - Re(delta))).
+    ``delta`` is the (possibly complex) phase of the sinusoidal mean
+    trajectory; when its scale alpha vanishes the phase is undefined and
+    ``delta_defined`` is False, in which case the success probability is
+    constant.  ``omega`` is the exact rotation frequency per iteration and
+    ``z_plus``/``z_minus`` the rotating coordinates at t = 0.  ``tau`` is
+    the standard iteration count floor(pi/4 * sqrt(N/r)); ``tau_m`` the
+    state-dependent count floor(0.5*sqrt(N/r)*(pi/2 - Re(delta))).
     """
 
     n: int
     r: int
-    alpha: complex
     delta: complex
     delta_defined: bool
     omega: float
@@ -71,16 +69,6 @@ class AnalyticParams:
     @property
     def num_states(self) -> int:
         return 1 << self.n
-
-    @property
-    def tau_best(self) -> int:
-        """True integer argmax of P(t) among {tau_m - 1, tau_m, tau_m + 1}.
-
-        The floor in ``tau_m`` can land one step short of the best integer
-        near a half-period boundary.
-        """
-        candidates = [t for t in (self.tau_m - 1, self.tau_m, self.tau_m + 1) if t >= 0]
-        return max(candidates, key=lambda t: (analytic_success(self, t), -t))
 
     @property
     def constp_residual(self) -> float:
@@ -119,13 +107,11 @@ def compute_params(state: QuantumState, marked: MarkedSet) -> AnalyticParams:
     scale = max(abs(z_plus), abs(z_minus))
     degenerate = scale == 0.0 or min(abs(z_plus), abs(z_minus)) < _DEGENERATE_RTOL * scale
     if degenerate:
-        alpha = 0j
         delta = 0j
     else:
         delta = cmath.log(z_plus / z_minus) / 2j
         if delta.real >= math.pi / 2:  # principal branch gives Re in (-pi/2, pi/2]
             delta -= math.pi
-        alpha = z_plus * cmath.exp(-1j * delta)
 
     omega = 2.0 * math.asin(math.sqrt(r / num_states))  # == acos(1 - 2r/N), stable
 
@@ -150,7 +136,6 @@ def compute_params(state: QuantumState, marked: MarkedSet) -> AnalyticParams:
     return AnalyticParams(
         n=state.n,
         r=r,
-        alpha=alpha,
         delta=delta,
         delta_defined=not degenerate,
         omega=omega,

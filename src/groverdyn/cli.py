@@ -154,6 +154,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_groverian(args) -> int:
     state = resolve_state(args.state, args.n)
+    # The oracle runs first, so that it refuses n > 3 before the optimizer
+    # spends any time; it draws no random numbers.
+    oracle_p = grid_search_oracle(state, 100) if args.oracle_check else None
     result = optimize_product(state, restarts=args.restarts, seed=args.seed)
     payload = {
         "n": args.n,
@@ -167,7 +170,6 @@ def _cmd_groverian(args) -> int:
         ],
     }
     if args.oracle_check:
-        oracle_p = grid_search_oracle(state, 100)
         payload["oracle"] = {
             "resolution": 100,
             "p_max": oracle_p,

@@ -115,13 +115,6 @@ class QuantumState:
         return f"QuantumState(n={self.n}, dim={self.dim})"
 
 
-def basis_label(index: int, n: int) -> str:
-    """Bitstring rendering of a basis index, most-significant qubit first."""
-    if not 0 <= index < (1 << n):
-        raise ValueError(f"basis index {index} out of range for n={n}")
-    return format(index, f"0{n}b")
-
-
 @dataclass(frozen=True)
 class MarkedSet:
     """Set M of marked basis-state indices inside a space of ``num_states``.
@@ -155,14 +148,6 @@ class MarkedSet:
     def r(self) -> int:
         """Number of marked states."""
         return len(self.indices)
-
-    def f(self, index: int) -> int:
-        """Oracle function: 1 if ``index`` is marked, else 0."""
-        return 1 if index in self._index_set else 0
-
-    @cached_property
-    def _index_set(self) -> frozenset[int]:
-        return frozenset(self.indices)
 
     @cached_property
     def indices_array(self) -> np.ndarray:

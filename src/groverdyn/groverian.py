@@ -102,10 +102,7 @@ def _basis_factors(n: int, index: int) -> np.ndarray:
 
 
 def _ascend(
-    psi_t: np.ndarray,
-    factors: np.ndarray,
-    max_sweeps: int,
-    tol: float,
+    psi_t: np.ndarray, factors: np.ndarray
 ) -> tuple[float, np.ndarray, bool, list[float]]:
     # Alternating exact single-qubit updates in Gauss-Seidel order; returns
     # the update-by-update overlap history, which is nondecreasing up to
@@ -119,7 +116,7 @@ def _ascend(
     history: list[float] = []
     value = 0.0
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         previous = value
         rights = [np.ones(1, dtype=np.complex128)]
         for c in np.conj(factors[:0:-1]):
@@ -134,7 +131,7 @@ def _ascend(
             value = nrm * nrm
             history.append(value)
             left = np.conj(factors[k]) @ left
-        if value - previous < tol:
+        if value - previous < SWEEP_TOL:
             converged = True
             break
     return value, factors, converged, history
@@ -170,7 +167,7 @@ def optimize_product(
     for i in range(restarts + 1):
         # Draw each start when its ascent begins, so one start is held at a time.
         factors = warm if i == 0 else _random_factors(n, rng)
-        value, out_factors, converged, _ = _ascend(psi_t, factors, MAX_SWEEPS, SWEEP_TOL)
+        value, out_factors, converged, _ = _ascend(psi_t, factors)
         per_restart.append(value)
         if value > best_value:
             best_value = value
@@ -243,16 +240,3 @@ def apply_local_unitaries(state: QuantumState, unitaries) -> QuantumState:
     for k, u in enumerate(mats):
         t = np.moveaxis(np.tensordot(u, t, axes=([1], [k])), 0, k)
     return QuantumState._wrap(state.n, t.reshape(-1))
-
-
-def local_unitary_invariance_check(
-    state: QuantumState,
-    unitaries,
-    restarts: int = 32,
-    seed: int = 0,
-) -> float:
-    """|G(U_1 x ... x U_n phi) - G(phi)| using the optimizer on both sides."""
-    rotated = apply_local_unitaries(state, unitaries)
-    g_original = optimize_product(state, restarts=restarts, seed=seed).g
-    g_rotated = optimize_product(rotated, restarts=restarts, seed=seed).g
-    return abs(g_original - g_rotated)

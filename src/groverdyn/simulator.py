@@ -68,20 +68,6 @@ def _p_marked(amps: np.ndarray, idx: np.ndarray) -> float:
     return float(np.sum(np.abs(amps[idx]) ** 2))
 
 
-def apply_oracle(state: QuantumState, marked: MarkedSet) -> QuantumState:
-    """Flip the sign of every marked amplitude (phase rotation by pi)."""
-    _check_compatible(state, marked)
-    amps = state.amplitudes.copy()
-    amps[marked.indices_array] = -amps[marked.indices_array]
-    return QuantumState._wrap(state.n, amps)
-
-
-def apply_diffusion(state: QuantumState) -> QuantumState:
-    """Reflect every amplitude about the mean: a_i -> 2*mean - a_i."""
-    amps = 2.0 * np.mean(state.amplitudes) - state.amplitudes
-    return QuantumState._wrap(state.n, amps)
-
-
 def grover_iterate(state: QuantumState, marked: MarkedSet) -> QuantumState:
     """One full Grover iteration: oracle phase flip, then diffusion."""
     _check_compatible(state, marked)

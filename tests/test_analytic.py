@@ -20,6 +20,7 @@ from groverdyn import (
     success_probability,
 )
 from helpers import (
+    best_integer_time,
     constant_p_state,
     random_marked_set,
     random_real_state,
@@ -56,7 +57,7 @@ def test_params_for_equal_superposition():
     # the floor in the optimal-time formula lands one short of the true
     # integer argmax here; the windowed search reports the argmax
     assert params.tau_m == 24
-    assert params.tau_best == 25
+    assert best_integer_time(params) == 25
     assert params.delta_defined
 
 
@@ -74,7 +75,6 @@ def test_vanishing_sinusoid_state_is_flagged():
     state, marked = constant_p_state(3)
     params = compute_params(state, marked)
     assert params.delta_p < 1e-12
-    assert params.alpha == 0j
     assert not params.delta_defined
     assert params.constp_residual < 1e-15
 
@@ -218,7 +218,8 @@ def test_success_at_reported_optima():
         # the windowed argmax reaches p0 up to the half-step sampling error;
         # the floored estimate may sit a full step away
         half_step = params.delta_p * (params.omega / 2) ** 2
-        assert analytic_success(params, params.tau_best) >= params.p0 - half_step * (1 + 1e-9)
+        best = best_integer_time(params)
+        assert analytic_success(params, best) >= params.p0 - half_step * (1 + 1e-9)
         assert analytic_success(params, params.tau_m) >= params.p0 - 4 * half_step * (1 + 1e-9)
 
 

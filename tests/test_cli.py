@@ -1,12 +1,17 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groverdyn import MarkedSet, _kernels, evolve, load_state
+import groverdyn.cli
+from groverdyn import MarkedSet, _kernels, build_state, evolve, load_state, save_state
 from groverdyn.cli import main
 from groverdyn.harness import _sample_marked_sets, write_json
 
@@ -299,6 +304,140 @@ def test_groverian_output(capsys):
     assert payload["converged"] is True
     assert len(payload["argmax"]) == 3
     assert payload["oracle"]["consistent"] is True
+
+
+def test_groverian_oracle_check_refuses_n4_before_optimizing(capsys, monkeypatch):
+    def optimizer_must_not_run(*args, **kwargs):
+        raise AssertionError("optimize_product ran before the oracle refused n = 4")
+
+    monkeypatch.setattr(groverdyn.cli, "optimize_product", optimizer_must_not_run)
+    code = main(["groverian", "--state", "eta", "--n", "4", "--oracle-check"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n <= 3" in captured.err
+
+
+# Argument values for the exit-code property: valid ones are bounded so that
+# every command runs in milliseconds, invalid ones reach every input check.
+# Three draws in four are valid, so that whole commands often succeed.
+# "@name" stands for the file ``name`` in the fixture's directory.
+def _mixed(valid, invalid):
+    return st.one_of(valid, valid, valid, st.sampled_from(invalid))
+
+
+def _ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+_STATE_SPECS = _mixed(
+    st.sampled_from(["eta", "ghz", "w", "@eta2", "@haar3"]),
+    ["haar", "zero_mean", "basis", "bogus", "@missing", "@dir", "@short_pair",
+     "@triple", "@null", "@dict", "@string", "@unnormalised"],
+)
+_QUBITS = _mixed(_ints(1, 3), ["0", "-1", "25", "x", "2.5"])
+_MARKED = _mixed(
+    st.sampled_from(["0", "1", "3", "1,2", "0,3", "0,1,2", "0,1,2,3"]),
+    ["", "8", "-1", "1,1", "0,1,2,3,4,5,6,7", "a", "1,,2"],
+)
+_STEPS = _mixed(_ints(0, 30), ["100001", "-1", "x", "1.5"])
+_SEED = _mixed(_ints(0, 5), ["-1", "-7", "x"])
+_OUT = _mixed(st.just("@out"), ["@dir"])
+_OPTIONS = {
+    # command: (required options, optional options, flags)
+    "state make": (
+        {"--n": _QUBITS, "--out": _OUT},
+        {"--k": _mixed(_ints(0, 8), ["-1", "100", "x"]), "--seed": _SEED},
+        [],
+    ),
+    "simulate": (
+        {"--state": _STATE_SPECS, "--n": _QUBITS, "--marked": _MARKED,
+         "--steps": _STEPS, "--out": _OUT},
+        {},
+        ["--full-snapshots"],
+    ),
+    "compare": (
+        {"--state": _STATE_SPECS, "--n": _QUBITS, "--marked": _MARKED,
+         "--steps": _STEPS, "--out": _OUT},
+        {},
+        [],
+    ),
+    "avg-success": (
+        {"--state": _STATE_SPECS, "--n": _QUBITS,
+         "--r": _mixed(st.sampled_from(["1", "2", "3", "7"]), ["0", "-1", "8", "x"]), "--out": _OUT},
+        {"--samples": _mixed(_ints(1, 20), ["0", "-3", "x"]), "--seed": _SEED},
+        [],
+    ),
+    "classify": (
+        {"--state": _STATE_SPECS, "--n": _QUBITS, "--marked": _MARKED},
+        {"--tol": _mixed(st.sampled_from(["1e-9", "1e-3"]), ["0", "-1", "nan", "inf", "x"]),
+         "--max-period": _mixed(_ints(0, 20), ["100001", "-1", "x"])},
+        [],
+    ),
+    "groverian": (
+        {"--state": _STATE_SPECS, "--n": _QUBITS},
+        {"--restarts": _mixed(_ints(1, 3), ["0", "-1", "x"]), "--seed": _SEED},
+        ["--oracle-check"],
+    ),
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    required, optional, flags = _OPTIONS[command]
+    argv = command.split()
+    if command == "state make":
+        argv.append(draw(_mixed(
+            st.sampled_from(["eta", "basis", "ghz", "w", "zero_mean", "haar", "k_uniform"]),
+            ["bogus"],
+        )))
+    # One command in eight leaves out a required option, which argparse refuses.
+    dropped = draw(st.sampled_from(sorted(required))) if draw(st.integers(0, 7)) == 7 else None
+    for option, values in required.items():
+        if option != dropped:
+            argv += [option, draw(values)]
+    for option, values in optional.items():
+        if draw(st.booleans()):
+            argv += [option, draw(values)]
+    for flag in flags:
+        if draw(st.booleans()):
+            argv.append(flag)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-fuzz")
+    save_state(build_state("eta", 2), root / "eta2")
+    save_state(build_state("haar", 3, seed=1), root / "haar3")
+    (root / "dir").mkdir()
+    malformed = {
+        "short_pair": {"n": 1, "amplitudes": [[1.0], [0.0, 0.0]]},
+        "triple": {"n": 1, "amplitudes": [[1.0, 0.0, 0.0], [0.0, 0.0]]},
+        "null": None,
+        "dict": {"n": 1, "amplitudes": {"re": 1.0, "im": 0.0}},
+        "string": "eta",
+        "unnormalised": {"n": 1, "amplitudes": [[1.0, 0.0], [1.0, 0.0]]},
+    }
+    for name, payload in malformed.items():
+        (root / name).write_text(json.dumps(payload))
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_cli_argv())
+def test_cli_exit_codes_on_arbitrary_arguments(cli_files, argv):
+    argv = [str(cli_files / a[1:]) if a.startswith("@") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the arguments
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    if code != 0:
+        assert out.getvalue() == "", argv
 
 
 def test_module_entry_point(tmp_path):

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import json
 import math
 
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import groverdyn
 from groverdyn import (
     MarkedSet,
     QuantumState,
-    basis_label,
     build_state,
     inner_product,
     load_state,
@@ -70,7 +71,6 @@ def test_marked_set_validation():
     ms = MarkedSet(8, (5, 1, 3))
     assert ms.indices == (1, 3, 5)
     assert ms.r == 3
-    assert ms.f(3) == 1 and ms.f(2) == 0
     assert list(ms.unmarked_indices) == [0, 2, 4, 6, 7]
 
 
@@ -232,11 +232,17 @@ def test_inner_product_dimension_mismatch():
         inner_product(build_state("eta", 2), build_state("eta", 3))
 
 
-def test_basis_label_msb_first():
-    assert basis_label(5, 4) == "0101"
-    assert basis_label(1, 3) == "001"
-    with pytest.raises(ValueError):
-        basis_label(8, 3)
+def test_all_lists_every_public_name_once():
+    exported = groverdyn.__all__
+    assert len(exported) == len(set(exported))
+    for name in exported:
+        assert hasattr(groverdyn, name), name
+    public = {
+        name
+        for name, value in vars(groverdyn).items()
+        if not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
+    }
+    assert sorted(public - set(exported)) == []
 
 
 # The files of one example are overwritten by the next, so sharing

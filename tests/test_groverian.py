@@ -12,12 +12,11 @@ from groverdyn import (
     build_state,
     grid_search_oracle,
     inner_product,
-    local_unitary_invariance_check,
     optimize_product,
     product_overlap,
 )
 from groverdyn.groverian import _ascend
-from helpers import random_state
+from helpers import local_unitary_invariance_check, random_state
 
 
 def random_unitary(rng):
@@ -140,7 +139,7 @@ def test_single_qubit_updates_are_monotone():
     psi_t = state.amplitudes.reshape((2,) * 5)
     factors = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
     factors /= np.linalg.norm(factors, axis=1, keepdims=True)
-    _, _, _, history = _ascend(psi_t, factors, max_sweeps=50, tol=1e-12)
+    _, _, _, history = _ascend(psi_t, factors)
     for earlier, later in zip(history, history[1:]):
         assert later >= earlier - 1e-14
 
@@ -156,7 +155,7 @@ def test_ascent_properties_on_haar_states(n, seed):
     factors = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     factors /= np.linalg.norm(factors, axis=1, keepdims=True)
     psi_t = state.amplitudes.reshape((2,) * n)
-    _, _, _, history = _ascend(psi_t, factors, max_sweeps=50, tol=1e-12)
+    _, _, _, history = _ascend(psi_t, factors)
     for earlier, later in zip(history, history[1:]):
         assert later >= earlier - 1e-14
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groverdyn import MarkedSet, QuantumState, apply_diffusion, apply_oracle
+from groverdyn import MarkedSet, QuantumState
 from groverdyn._kernels import (
     available_backends,
     backend_name,
@@ -11,6 +11,7 @@ from groverdyn._kernels import (
     run_grover,
     run_grover_block,
 )
+from helpers import apply_diffusion, apply_oracle
 
 
 def random_problem(n, r, seed):

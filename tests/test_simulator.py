@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from groverdyn import (
     MarkedSet,
     QuantumState,
-    apply_diffusion,
-    apply_oracle,
     build_state,
     evolve,
     grover_iterate,
@@ -21,7 +19,13 @@ from groverdyn import (
 )
 from groverdyn import _kernels, analytic_success, compute_params, optimal_iterations
 from groverdyn.simulator import MAX_SNAPSHOT_AMPLITUDES, MAX_TRAJECTORY_STEPS, _registers
-from helpers import random_marked_set, random_state, two_cycle_state
+from helpers import (
+    apply_diffusion,
+    apply_oracle,
+    random_marked_set,
+    random_state,
+    two_cycle_state,
+)
 
 
 def test_oracle_flips_marked_signs():
