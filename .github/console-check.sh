@@ -19,11 +19,20 @@ groverdyn avg-success --state ghz --n 10 --r 2 --samples 500 --seed 7 --out avg-
 groverdyn avg-success --state eta --n 12 --r 1 --out avg-n12.json
 # Every marked set gives eta the same P(tau), so the sweep mean is the closed form's.
 python -c 'import json; from groverdyn import MarkedSet, analytic_success, build_state, compute_params; a = json.load(open("avg-n12.json")); p = analytic_success(compute_params(build_state("eta", 12), MarkedSet(4096, (0,))), a["tau"]); assert abs(a["mean_p"] - p) <= 1e-10, (a["mean_p"], p)'
+# r = N - 1 at n = 11: the largest exhaustive sweep the limits admit at
+# n = 11, 2048 sets of 2047 indices.  tau = 0, so every set gives P = r/N.
+groverdyn avg-success --state eta --n 11 --r 2047 --out avg-rN-1.json
+python -c 'import json; a = json.load(open("avg-rN-1.json")); assert a["num_sets"] == 2048, a; assert abs(a["mean_p"] - 2047 / 2048) <= 1e-12, a'
 groverdyn groverian --state w --n 3 --restarts 8 --oracle-check
 # 100001 sampled sets exceed the sweep limit: configuration error, exit code 3.
 code=0
 groverdyn avg-success --state eta --n 12 --r 2 --samples 100001 --seed 0 --out over.json || code=$?
 test "$code" -eq 3
+# A negative seed is invalid input, exit code 2, even where no random
+# number is drawn.
+code=0
+groverdyn avg-success --state eta --n 3 --r 1 --seed -1 --out neg-seed.json || code=$?
+test "$code" -eq 2
 # 100001 steps exceed the trajectory limit: invalid input, exit code 2.
 code=0
 groverdyn simulate --state eta --n 1 --marked 0 --steps 100001 --out over.csv || code=$?

@@ -173,19 +173,21 @@ def analytic_amplitudes(state: QuantumState, marked: MarkedSet, t: int) -> Quant
 
     Marked amplitudes are the marked mean plus a frozen deviation;
     unmarked amplitudes are the unmarked mean plus a deviation whose
-    sign alternates each iteration.
+    sign alternates each iteration.  The unmarked expression is evaluated
+    in place over the whole register and the r marked entries are then
+    overwritten, so no unmarked index list is built.
     """
     _check_compatible(state, marked)
     params = compute_params(state, marked)
     a_bar_m_t, a_bar_u_t = analytic_amplitude_means(params, t)
 
     amps0 = state.amplitudes
-    out = np.empty_like(amps0)
-    m_idx = marked.indices_array
-    u_idx = marked.unmarked_indices
-    out[m_idx] = a_bar_m_t + (amps0[m_idx] - params.a_bar_m0)
     sign = 1.0 if t % 2 == 0 else -1.0
-    out[u_idx] = a_bar_u_t + sign * (amps0[u_idx] - params.a_bar_u0)
+    out = np.subtract(amps0, params.a_bar_u0)
+    out *= sign
+    out += a_bar_u_t
+    m_idx = marked.indices_array
+    out[m_idx] = a_bar_m_t + (amps0[m_idx] - params.a_bar_m0)
     return QuantumState._wrap(state.n, out)
 
 

@@ -26,6 +26,14 @@ def _as_index(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _as_seed(value) -> int:
+    """Validate a random-generator seed from outside input: an integer >= 0."""
+    seed = _as_index(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 # Largest register the package builds or loads: 2^24 complex128
 # amplitudes are 256 MiB.
 MAX_QUBITS = 24
@@ -157,17 +165,14 @@ class MarkedSet:
 
     @cached_property
     def mask(self) -> np.ndarray:
-        """Boolean mask of length ``num_states``, True on marked indices."""
+        """Boolean mask of length ``num_states``, True on marked indices.
+
+        Nothing in the package reads it; the benchmark's state builders do.
+        """
         m = np.zeros(self.num_states, dtype=bool)
         m[self.indices_array] = True
         m.flags.writeable = False
         return m
-
-    @cached_property
-    def unmarked_indices(self) -> np.ndarray:
-        arr = np.flatnonzero(~self.mask).astype(np.intp)
-        arr.flags.writeable = False
-        return arr
 
 
 @dataclass(frozen=True)

@@ -69,11 +69,15 @@ def classify(state: QuantumState, marked: MarkedSet, tol: float = 1e-9) -> State
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     params = compute_params(state, marked)
-    amps = state.amplitudes
     abar_m_abs = abs(params.a_bar_m0)
     abar_u_abs = abs(params.a_bar_u0)
-    max_marked_abs = float(np.max(np.abs(amps[marked.indices_array])))
-    max_unmarked_abs = float(np.max(np.abs(amps[marked.unmarked_indices])))
+    # Magnitudes are >= 0, so zeroing the marked ones leaves the unmarked
+    # maximum as it is, without gathering the N - r unmarked amplitudes.
+    magnitudes = np.abs(state.amplitudes)
+    idx = marked.indices_array
+    max_marked_abs = float(np.max(magnitudes[idx]))
+    magnitudes[idx] = 0.0
+    max_unmarked_abs = float(np.max(magnitudes))
     constp_residual = params.constp_residual
     rational = _rational_omega(params.omega, _Q_MAX)
 

@@ -17,7 +17,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import QuantumState, _as_index
+from .core import QuantumState, _as_index, _as_seed
 
 _UNITARY_ATOL = 1e-10
 
@@ -156,7 +156,7 @@ def optimize_product(
         raise ValueError(f"restarts must be >= 1, got {restarts!r}")
     n = state.n
     psi_t = state.amplitudes.reshape((2,) * n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_seed(seed))
 
     warm = _basis_factors(n, int(np.argmax(np.abs(state.amplitudes))))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -20,7 +20,15 @@ from .analytic import (
     compute_params,
     optimal_iterations,
 )
-from .core import MarkedSet, QuantumState, _as_index, _as_qubit_count, _write_pairs, load_state
+from .core import (
+    MarkedSet,
+    QuantumState,
+    _as_index,
+    _as_qubit_count,
+    _as_seed,
+    _write_pairs,
+    load_state,
+)
 from .simulator import Trajectory, _as_step_count, _p_marked, _registers
 from . import _kernels
 
@@ -29,9 +37,8 @@ from . import _kernels
 EXHAUSTIVE_LIMIT = 100_000
 DEFAULT_SAMPLES = 2000
 
-# Most marked indices, sets x r, one sweep holds: 128 MiB of intp.  A
-# sweep keeps them twice, as tuples and as the (sets, r) array, and the
-# tuples cost several times the array.  n = 12, r = 4095 fits.
+# Most marked indices, sets x r, one sweep holds: 128 MiB of intp, in the
+# one (sets, r) array the sweep builds.  n = 12, r = 4095 fits.
 MAX_SWEEP_INDICES = 1 << 24
 
 # A sweep simulates its marked sets in blocks of this many amplitudes
@@ -78,7 +85,7 @@ def build_state(name: str, n: int, k: int | None = None, seed: int | None = None
     elif name == "zero_mean":
         if seed is None:
             raise ValueError("zero_mean state needs a seed")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_as_seed(seed))
         half = rng.standard_normal(num_states // 2) + 1j * rng.standard_normal(num_states // 2)
         amps = np.empty(num_states, dtype=np.complex128)
         amps[0::2] = half
@@ -87,7 +94,7 @@ def build_state(name: str, n: int, k: int | None = None, seed: int | None = None
     elif name == "haar":
         if seed is None:
             raise ValueError("haar state needs a seed")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_as_seed(seed))
         amps = rng.standard_normal(num_states) + 1j * rng.standard_normal(num_states)
         return QuantumState.renormalized(n, amps)
     elif name == "k_uniform":
@@ -161,6 +168,8 @@ class ExperimentConfig:
             object.__setattr__(self, "samples", samples)
         if self.t_max is not None:
             object.__setattr__(self, "t_max", _as_step_count(self.t_max))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _as_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -183,13 +192,27 @@ class SweepSummary:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "p_values"}
 
 
-def _sample_marked_sets(num_states: int, r: int, count: int, seed: int | None):
+def _all_marked_sets(num_states: int, r: int) -> np.ndarray:
+    """Every r-subset of range(num_states) in lexicographic order, one row each.
+
+    The indices go straight into one ``(C(N, r), r)`` intp array; no set
+    is held as a tuple.
+    """
+    total = math.comb(num_states, r)
+    flat = np.fromiter(
+        chain.from_iterable(combinations(range(num_states), r)), np.intp, total * r
+    )
+    return flat.reshape(total, r)
+
+
+def _sample_marked_sets(num_states: int, r: int, count: int, seed: int | None) -> np.ndarray:
     """``count`` distinct sorted r-subsets of range(num_states), seeded.
 
-    Up to half of the C(N, r) sets are drawn one at a time, each retried
-    until it is new.  Above half that loop turns into a coupon collector,
-    so the sets are enumerated (C(N, r) < 2 * EXHAUSTIVE_LIMIT there) and
-    one draw without replacement picks ``count`` of them.
+    Returns a ``(count, r)`` intp array, one set a row.  Up to half of the
+    C(N, r) sets are drawn one at a time, each retried until it is new.
+    Above half that loop turns into a coupon collector, so the sets are
+    enumerated (C(N, r) < 2 * EXHAUSTIVE_LIMIT there) and one draw without
+    replacement picks ``count`` rows.
     """
     if seed is None:
         raise ConfigurationError(
@@ -198,8 +221,7 @@ def _sample_marked_sets(num_states: int, r: int, count: int, seed: int | None):
     rng = np.random.default_rng(seed)
     total = math.comb(num_states, r)
     if 2 * count > total:
-        every = list(combinations(range(num_states), r))
-        return [every[i] for i in rng.choice(total, count, replace=False)]
+        return _all_marked_sets(num_states, r)[rng.choice(total, count, replace=False)]
     chosen: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     while len(chosen) < count:
@@ -207,12 +229,13 @@ def _sample_marked_sets(num_states: int, r: int, count: int, seed: int | None):
         if pick not in seen:
             seen.add(pick)
             chosen.append(pick)
-    return chosen
+    return np.array(chosen, dtype=np.intp)
 
 
-def _select_marked_sets(config: ExperimentConfig):
+def _select_marked_sets(config: ExperimentConfig) -> tuple[np.ndarray, bool]:
+    """The sweep's marked sets as a ``(sets, r)`` intp array, and whether all were taken."""
     if config.marked is not None:
-        return [config.marked], False
+        return np.array([config.marked], dtype=np.intp), False
     num_states = 1 << config.n
     total = math.comb(num_states, config.r)
     if config.samples is None and total <= EXHAUSTIVE_LIMIT:
@@ -233,7 +256,7 @@ def _select_marked_sets(config: ExperimentConfig):
         )
     if count < total:
         return _sample_marked_sets(num_states, config.r, count, config.seed), False
-    return list(combinations(range(num_states), config.r)), True
+    return _all_marked_sets(num_states, config.r), True
 
 
 def sweep_marked_sets(config: ExperimentConfig) -> SweepSummary:
@@ -247,9 +270,8 @@ def sweep_marked_sets(config: ExperimentConfig) -> SweepSummary:
     """
     state = resolve_state(config.state_spec, config.n, seed=config.seed)
     tau = optimal_iterations(config.n, config.r)
-    sets, exhaustive = _select_marked_sets(config)
+    marked, exhaustive = _select_marked_sets(config)
 
-    marked = np.array(sets, dtype=np.intp)
     rows = max(1, _BLOCK_AMPLITUDES // state.dim)
     block = np.empty((min(rows, len(marked)), state.dim), dtype=np.complex128)
     p_values = np.empty(len(marked))
@@ -273,7 +295,7 @@ def sweep_marked_sets(config: ExperimentConfig) -> SweepSummary:
         n=config.n,
         r=config.r,
         tau=tau,
-        num_sets=len(sets),
+        num_sets=len(marked),
         exhaustive=exhaustive,
         seed=config.seed,
         mean_p=mean_p,

@@ -6,6 +6,8 @@ step: they allocate a new state per half-step and take the mean with
 register sum.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from groverdyn import (
@@ -14,6 +16,8 @@ from groverdyn import (
     QuantumState,
     analytic_success,
     apply_local_unitaries,
+    build_fixed_point,
+    build_state,
     optimize_product,
 )
 from groverdyn.core import _check_compatible
@@ -35,6 +39,43 @@ def random_marked_set(n: int, r: int, rng: np.random.Generator) -> MarkedSet:
     return MarkedSet(num_states, tuple(int(i) for i in indices))
 
 
+def traced_peak(call):
+    """Run ``call()``; return the peak bytes ``tracemalloc`` saw it hold, and its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def marked_split_cases() -> dict[str, tuple[QuantumState, MarkedSet]]:
+    """(state, marked set) pairs at the edges of the marked/unmarked split.
+
+    Haar states at several sizes, GHZ (mostly zero amplitudes), a class A
+    fixed point (every unmarked amplitude exactly 0), a two-cycle state and
+    r = N - 1 (a single unmarked amplitude).
+    """
+    rng = np.random.default_rng(61)
+    cases = {}
+    for n, r in ((3, 1), (6, 3), (10, 5)):
+        cases[f"haar-n{n}-r{r}"] = (random_state(n, rng), random_marked_set(n, r, rng))
+    cases["ghz-n4-r2"] = (build_state("ghz", 4), MarkedSet(16, (0, 9)))
+    marked = random_marked_set(8, 3, rng)
+    weights = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    weights -= weights.mean()
+    cases["fixed-point-a"] = (build_fixed_point(marked, weights / np.linalg.norm(weights)), marked)
+    marked = random_marked_set(4, 2, rng)
+    cases["two-cycle"] = (two_cycle_state(marked), marked)
+    unmarked = int(rng.integers(32))
+    cases["r-equals-n-minus-1"] = (
+        random_state(5, rng),
+        MarkedSet(32, tuple(i for i in range(32) if i != unmarked)),
+    )
+    return cases
+
+
 def two_cycle_state(marked: MarkedSet) -> QuantumState:
     """State with zero marked and unmarked means (hence a two-cycle).
 
@@ -45,7 +86,7 @@ def two_cycle_state(marked: MarkedSet) -> QuantumState:
         raise ValueError("need at least two marked and two unmarked indices")
     amps = np.zeros(marked.num_states, dtype=complex)
     m_idx = marked.indices_array
-    u_idx = marked.unmarked_indices
+    u_idx = np.flatnonzero(~marked.mask)
     amps[m_idx[0]] = 0.5
     amps[m_idx[1]] = -0.5
     amps[u_idx[0]] = 0.5

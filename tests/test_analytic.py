@@ -22,9 +22,11 @@ from groverdyn import (
 from helpers import (
     best_integer_time,
     constant_p_state,
+    marked_split_cases,
     random_marked_set,
     random_real_state,
     random_state,
+    traced_peak,
     two_cycle_state,
 )
 
@@ -307,3 +309,35 @@ def test_averaged_success_equals_eta_overlap():
         assert abs(
             averaged_success(state) - abs(inner_product(eta, state)) ** 2
         ) < 1e-12
+
+
+def gathered_closed_form(state, marked, t):
+    """The closed-form register at ``t`` built group by group, each group gathered."""
+    params = compute_params(state, marked)
+    a_bar_m_t, a_bar_u_t = analytic_amplitude_means(params, t)
+    amps0 = state.amplitudes
+    m_idx, u_idx = marked.indices_array, np.flatnonzero(~marked.mask)
+    out = np.empty_like(amps0)
+    out[m_idx] = a_bar_m_t + (amps0[m_idx] - params.a_bar_m0)
+    sign = 1.0 if t % 2 == 0 else -1.0
+    out[u_idx] = a_bar_u_t + sign * (amps0[u_idx] - params.a_bar_u0)
+    return out
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 7])
+@pytest.mark.parametrize("case", list(marked_split_cases()))
+def test_amplitudes_equal_gathered_formula_bit_for_bit(case, t):
+    # The bit patterns must match, so a signed zero counts as a difference.
+    state, marked = marked_split_cases()[case]
+    got = analytic_amplitudes(state, marked, t).amplitudes
+    want = gathered_closed_form(state, marked, t)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_amplitudes_memory_stays_near_the_state_size():
+    # The output register and, before it, the moments' work buffer; no
+    # gathered copies of the unmarked amplitudes and no index list.
+    state = build_state("haar", 16, seed=1)
+    marked = MarkedSet(state.dim, (3, 77, 40000))
+    peak, _ = traced_peak(lambda: analytic_amplitudes(state, marked, 7))
+    assert peak <= 1.25 * state.amplitudes.nbytes, peak / state.amplitudes.nbytes

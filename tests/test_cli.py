@@ -110,6 +110,30 @@ def test_steps_beyond_trajectory_limit_exit_2(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["avg-success", "--state", "eta", "--n", "3", "--r", "1"],
+        ["avg-success", "--state", "eta", "--n", "6", "--r", "2", "--samples", "10"],
+        ["state", "make", "haar", "--n", "3"],
+        ["state", "make", "zero_mean", "--n", "3"],
+        ["groverian", "--state", "eta", "--n", "3", "--restarts", "2"],
+    ],
+    ids=["avg-success-exhaustive", "avg-success-sampled", "haar", "zero_mean", "groverian"],
+)
+def test_negative_seed_exits_2_naming_the_seed(tmp_path, capsys, argv):
+    # Exhaustive sweeps draw no random numbers, so only the input check can
+    # refuse the seed there; elsewhere it must be refused before numpy is.
+    out = tmp_path / "out.json"
+    if argv[0] != "groverian":
+        argv = argv + ["--out", str(out)]
+    assert main(argv + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "seed must be a non-negative integer" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_classify_max_period_beyond_trajectory_limit_exit_2(capsys):
     # The cycle search steps like a trajectory and has the same bound.
     with mock.patch.object(_kernels, "run_grover", side_effect=AssertionError("iterated")):

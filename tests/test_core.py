@@ -71,7 +71,6 @@ def test_marked_set_validation():
     ms = MarkedSet(8, (5, 1, 3))
     assert ms.indices == (1, 3, 5)
     assert ms.r == 3
-    assert list(ms.unmarked_indices) == [0, 2, 4, 6, 7]
 
 
 def test_moments_equal_superposition():

@@ -21,7 +21,14 @@ from groverdyn import (
 )
 from groverdyn import _kernels
 from groverdyn.simulator import MAX_TRAJECTORY_STEPS
-from helpers import constant_p_state, random_marked_set, random_state, two_cycle_state
+from helpers import (
+    constant_p_state,
+    marked_split_cases,
+    random_marked_set,
+    random_state,
+    traced_peak,
+    two_cycle_state,
+)
 
 
 def fidelity_after(state, marked, k):
@@ -138,7 +145,7 @@ def _periodic_input(family, n, seed):
     else:
         r = int(rng.integers(2, num_states - 1))
     marked = random_marked_set(n, r, rng)
-    m_idx, u_idx = marked.indices_array, marked.unmarked_indices
+    m_idx, u_idx = marked.indices_array, np.flatnonzero(~marked.mask)
     amps = np.zeros(num_states, dtype=complex)
     if family == "quarter_filling":
         amps[:] = 1.0 / math.sqrt(num_states)
@@ -294,3 +301,26 @@ def test_build_fixed_point_rejects_bad_weights():
     single = MarkedSet(16, (3,))
     with pytest.raises(ValueError):
         build_fixed_point(single, [1.0])
+
+
+@pytest.mark.parametrize("case", list(marked_split_cases()))
+def test_classify_max_magnitudes_equal_gathered_reference(case):
+    # classify zeroes the marked magnitudes in place of gathering the
+    # unmarked ones; the maxima must equal those of each group gathered.
+    state, marked = marked_split_cases()[case]
+    amps = state.amplitudes
+    unmarked = np.flatnonzero(~marked.mask)
+    evidence = classify(state, marked).evidence
+    assert evidence["max_marked_abs"] == float(np.max(np.abs(amps[marked.indices_array])))
+    assert evidence["max_unmarked_abs"] == float(np.max(np.abs(amps[unmarked])))
+    if case == "fixed-point-a":
+        assert evidence["max_unmarked_abs"] == 0.0
+
+
+def test_classify_memory_stays_near_the_state_size():
+    # One work buffer for the moments, then one float64 magnitude array;
+    # no gathered copy of the unmarked amplitudes and no index list.
+    state = build_state("haar", 16, seed=1)
+    marked = MarkedSet(state.dim, (3, 77, 40000))
+    peak, _ = traced_peak(lambda: classify(state, marked))
+    assert peak <= 1.25 * state.amplitudes.nbytes, peak / state.amplitudes.nbytes

@@ -30,7 +30,7 @@ from groverdyn.harness import (
     write_snapshots,
 )
 from groverdyn.simulator import MAX_TRAJECTORY_STEPS
-from helpers import random_marked_set, random_state, two_cycle_state
+from helpers import random_marked_set, random_state, traced_peak, two_cycle_state
 from groverdyn import MarkedSet
 
 
@@ -237,10 +237,11 @@ _PINNED_SAMPLE = [
 
 def test_sample_marked_sets_unique_and_seeded():
     sets = _sample_marked_sets(64, 2, 100, seed=3)
-    assert len(sets) == len(set(sets)) == 100
-    assert all(len(s) == 2 and s[0] < s[1] for s in sets)
-    assert sets == _sample_marked_sets(64, 2, 100, seed=3)
-    assert sets == _PINNED_SAMPLE
+    assert sets.dtype == np.intp and sets.shape == (100, 2)
+    assert len(set(map(tuple, sets.tolist()))) == 100
+    assert all(s[0] < s[1] for s in sets.tolist())
+    assert np.array_equal(sets, _sample_marked_sets(64, 2, 100, seed=3))
+    assert [tuple(s) for s in sets.tolist()] == _PINNED_SAMPLE
 
 
 class _CountingRng:
@@ -275,13 +276,12 @@ def test_sample_marked_sets_above_half_takes_one_draw(num_states, r):
     with mock.patch.object(np.random, "default_rng", counting_rng):
         sets = _sample_marked_sets(num_states, r, total - 1, seed=8)
     assert [rng.draws for rng in rngs] == [1]
-    assert len(sets) == len(set(sets)) == total - 1
+    assert sets.dtype == np.intp and sets.shape == (total - 1, r)
+    assert len(set(map(tuple, sets.tolist()))) == total - 1
     assert all(
-        len(s) == r and list(s) == sorted(s) and 0 <= s[0] and s[-1] < num_states
-        for s in sets
+        s == sorted(s) and 0 <= s[0] and s[-1] < num_states for s in sets.tolist()
     )
-    assert all(type(i) is int for s in sets for i in s)
-    assert sets == _sample_marked_sets(num_states, r, total - 1, seed=8)
+    assert np.array_equal(sets, _sample_marked_sets(num_states, r, total - 1, seed=8))
 
 
 def test_sampling_without_seed_is_configuration_error():
@@ -328,12 +328,48 @@ def test_sweep_index_limit_refuses_before_enumerating():
             sweep_marked_sets(config)
 
 
+class _Enumerated(Exception):
+    """Raised by a stand-in for ``combinations`` once the selector calls it."""
+
+
 def test_sweep_index_limit_admits_n12_r4095():
+    # The selector passes the limits and starts the one enumeration; the
+    # stand-ins stop it there, before 128 MiB of indices are built.
     assert 4096 * 4095 <= harness.MAX_SWEEP_INDICES < 8192 * 8191
     config = ExperimentConfig(n=12, r=4095, state_spec="eta")
-    with mock.patch.object(harness, "combinations", return_value=iter([])) as enumerate_sets:
-        assert _select_marked_sets(config) == ([], True)
+    with mock.patch.object(harness, "combinations", side_effect=_Enumerated) as enumerate_sets:
+        with pytest.raises(_Enumerated):
+            _select_marked_sets(config)
     enumerate_sets.assert_called_once_with(range(4096), 4095)
+    with mock.patch.object(harness, "_all_marked_sets", return_value="every set") as every:
+        assert _select_marked_sets(config) == ("every set", True)
+    every.assert_called_once_with(4096, 4095)
+
+
+@pytest.mark.parametrize("seed, message", [(-1, "a non-negative integer"), (2.0, "an integer")])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda seed: ExperimentConfig(n=3, r=1, seed=seed),
+        lambda seed: build_state("haar", 3, seed=seed),
+        lambda seed: build_state("zero_mean", 3, seed=seed),
+    ],
+    ids=["config", "haar", "zero_mean"],
+)
+def test_seed_must_be_a_non_negative_integer(build, seed, message):
+    with pytest.raises(ValueError, match=f"seed must be {message}"):
+        build(seed)
+
+
+def test_exhaustive_sweep_holds_its_sets_once():
+    # r = N - 1 at n = 11: 2048 sets of 2047 indices, 32 MiB of intp, built
+    # straight into one array.  Every set leaves eta at P = r/N (tau = 0).
+    config = ExperimentConfig(n=11, r=2047)
+    peak, summary = traced_peak(lambda: sweep_marked_sets(config))
+    indices_bytes = 2048 * 2047 * np.dtype(np.intp).itemsize
+    assert peak <= 1.25 * indices_bytes, peak / indices_bytes
+    assert summary.exhaustive and summary.num_sets == 2048
+    assert abs(summary.mean_p - 2047 / 2048) <= 1e-12
 
 
 def test_sample_count_capped_at_population():
