@@ -28,6 +28,11 @@ groverdyn groverian --state w --n 3 --restarts 8 --oracle-check
 code=0
 groverdyn avg-success --state eta --n 12 --r 2 --samples 100001 --seed 0 --out over.json || code=$?
 test "$code" -eq 3
+# An r = N/2 sweep at n = 22 is over the index limit: exit code 3 at once,
+# without the exact C(2^22, 2^21), which alone took minutes.
+code=0
+timeout 30 groverdyn avg-success --state eta --n 22 --r 2097152 --out big.json || code=$?
+test "$code" -eq 3
 # A negative seed is invalid input, exit code 2, even where no random
 # number is drawn.
 code=0

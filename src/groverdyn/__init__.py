@@ -38,7 +38,6 @@ from .groverian import (
 from .harness import (
     ComparisonReport,
     ConfigurationError,
-    ExperimentConfig,
     SweepSummary,
     build_state,
     compare_run,
@@ -59,7 +58,6 @@ __all__ = [
     "AnalyticParams",
     "ComparisonReport",
     "ConfigurationError",
-    "ExperimentConfig",
     "GroverianResult",
     "MarkedSet",
     "MomentSummary",

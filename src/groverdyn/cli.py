@@ -2,7 +2,8 @@
 
 Subcommands: ``state make``, ``simulate``, ``compare``, ``avg-success``,
 ``classify``, ``groverian``.  Exit codes: 0 success, 2 invalid input,
-3 configuration error.
+3 configuration error.  Each command checks the arguments it can check
+without a state before it loads or builds one.
 """
 
 from __future__ import annotations
@@ -11,31 +12,24 @@ import argparse
 import json
 import sys
 
-from .core import MarkedSet, save_state
+from .core import MarkedSet, _as_qubit_count, save_state
 from .dynamics import classify, detect_cycle
 from .groverian import grid_search_oracle, optimize_product
 from .harness import (
     ConfigurationError,
-    ExperimentConfig,
     build_state,
     compare_run,
     resolve_state,
     sweep_marked_sets,
     write_json,
     write_snapshots,
+    _sweep_arguments,
 )
-from .simulator import evolve
+from .simulator import _as_step_count, evolve
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_CONFIG_ERROR = 3
-
-
-def _parse_marked(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"--marked expects comma-separated integers, got {text!r}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,9 +99,21 @@ def _cmd_state_make(args) -> int:
     return EXIT_OK
 
 
+def _marked_set(args) -> MarkedSet:
+    """The ``--marked`` set on ``--n`` qubits, checked without building a state."""
+    try:
+        indices = tuple(int(part) for part in args.marked.split(","))
+    except ValueError as exc:
+        raise ValueError(
+            f"--marked expects comma-separated integers, got {args.marked!r}"
+        ) from exc
+    return MarkedSet(1 << _as_qubit_count(args.n), indices)
+
+
 def _cmd_simulate(args) -> int:
+    marked = _marked_set(args)
+    _as_step_count(args.steps)
     state = resolve_state(args.state, args.n)
-    marked = MarkedSet(1 << args.n, _parse_marked(args.marked))
     trajectory = evolve(state, marked, args.steps, record_full_states=args.full_snapshots)
     trajectory.write_csv(args.out)
     if args.full_snapshots:
@@ -116,27 +122,25 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    marked = _parse_marked(args.marked)
-    config = ExperimentConfig(
-        n=args.n, r=len(marked), state_spec=args.state, marked=marked, t_max=args.steps
-    )
-    report = compare_run(config)
+    marked = _marked_set(args)
+    _as_step_count(args.steps)
+    state = resolve_state(args.state, args.n)
+    report = compare_run(state, marked, args.steps)
     write_json(args.out, report.to_json_dict())
     return EXIT_OK
 
 
 def _cmd_avg_success(args) -> int:
-    config = ExperimentConfig(
-        n=args.n, r=args.r, state_spec=args.state, samples=args.samples, seed=args.seed
-    )
-    summary = sweep_marked_sets(config)
+    _sweep_arguments(args.n, args.r, args.samples, args.seed)
+    state = resolve_state(args.state, args.n, seed=args.seed)
+    summary = sweep_marked_sets(state, args.r, samples=args.samples, seed=args.seed)
     write_json(args.out, summary.to_json_dict())
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
+    marked = _marked_set(args)
     state = resolve_state(args.state, args.n)
-    marked = MarkedSet(1 << args.n, _parse_marked(args.marked))
     verdict = classify(state, marked, tol=args.tol)
     abar_m, abar_u = verdict.evidence["abar_m"], verdict.evidence["abar_u"]
     payload = {
@@ -180,6 +184,7 @@ def _cmd_groverian(args) -> int:
 
 
 _COMMANDS = {
+    "state": _cmd_state_make,
     "simulate": _cmd_simulate,
     "compare": _cmd_compare,
     "avg-success": _cmd_avg_success,
@@ -191,8 +196,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "state":
-            return _cmd_state_make(args)
         return _COMMANDS[args.command](args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

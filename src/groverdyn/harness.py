@@ -1,6 +1,9 @@
 """State builders, marked-set sweeps and simulator-vs-closed-form runs.
 
-Everything here is deterministic given the configuration: random states
+``sweep_marked_sets`` and ``compare_run`` take a built state (see
+``resolve_state``) and the values they use, and check those values.
+
+Everything here is deterministic given its arguments: random states
 and sampled marked sets come from a seeded numpy PCG64 generator
 (``numpy.random.default_rng``), so published seeds reproduce exactly.
 """
@@ -29,13 +32,16 @@ from .core import (
     _write_pairs,
     load_state,
 )
-from .simulator import Trajectory, _as_step_count, _p_marked, _registers
+from .simulator import Trajectory, _p_marked, _registers
 from . import _kernels
 
 # Enumerate all C(N, r) marked sets up to this count; sample beyond it.
 # No sweep, enumerated or sampled, takes more sets than this.
 EXHAUSTIVE_LIMIT = 100_000
 DEFAULT_SAMPLES = 2000
+
+# Marked sets are counted only up to this many (see _count_marked_sets).
+_COUNT_CAP = 2 * EXHAUSTIVE_LIMIT
 
 # Most marked indices, sets x r, one sweep holds: 128 MiB of intp, in the
 # one (sets, r) array the sweep builds.  n = 12, r = 4095 fits.
@@ -52,7 +58,7 @@ PARAMETER_FREE_BUILDERS = ("eta", "ghz", "w")
 
 
 class ConfigurationError(Exception):
-    """Experiment configuration that cannot be run as requested."""
+    """A run larger than the package's sweep limits allow."""
 
 
 def build_state(name: str, n: int, k: int | None = None, seed: int | None = None) -> QuantumState:
@@ -125,54 +131,6 @@ def resolve_state(spec: str, n: int, seed: int | None = None) -> QuantumState:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """One sweep or comparison run.
-
-    ``marked`` fixes an explicit marked set, validated and sorted by
-    ``MarkedSet``; otherwise the sweep selects sets itself: all C(N, r)
-    of them when ``samples`` is at least C(N, r), or when ``samples`` is
-    unset and C(N, r) is at most ``EXHAUSTIVE_LIMIT``; else ``samples``
-    (default ``DEFAULT_SAMPLES``) seeded draws without replacement.
-    Sweeping more than ``EXHAUSTIVE_LIMIT`` sets, enumerated or sampled,
-    or more than ``MAX_SWEEP_INDICES`` marked indices (sets x r), is a
-    ``ConfigurationError``, raised before any set is built.
-    """
-
-    n: int
-    r: int
-    state_spec: str = "eta"
-    marked: tuple[int, ...] | None = None
-    samples: int | None = None
-    t_max: int | None = None
-    seed: int | None = None
-
-    def __post_init__(self):
-        n = _as_qubit_count(self.n)
-        object.__setattr__(self, "n", n)
-        num_states = 1 << n
-        r = _as_index(self.r, "r")
-        if not 1 <= r <= num_states - 1:
-            raise ValueError(f"r must be in [1, {num_states - 1}], got {r}")
-        object.__setattr__(self, "r", r)
-        if self.marked is not None:
-            marked = MarkedSet(num_states, self.marked).indices
-            if len(marked) != self.r:
-                raise ValueError(
-                    f"explicit marked set has {len(marked)} indices but r={self.r}"
-                )
-            object.__setattr__(self, "marked", marked)
-        if self.samples is not None:
-            samples = _as_index(self.samples, "samples")
-            if samples < 1:
-                raise ValueError(f"samples must be >= 1, got {samples}")
-            object.__setattr__(self, "samples", samples)
-        if self.t_max is not None:
-            object.__setattr__(self, "t_max", _as_step_count(self.t_max))
-        if self.seed is not None:
-            object.__setattr__(self, "seed", _as_seed(self.seed))
-
-
-@dataclass(frozen=True)
 class SweepSummary:
     """Success statistics of P(tau) over a collection of marked sets."""
 
@@ -181,7 +139,7 @@ class SweepSummary:
     tau: int
     num_sets: int
     exhaustive: bool
-    seed: int | None
+    seed: int
     mean_p: float
     std_error: float
     analytic_prediction: float
@@ -192,75 +150,115 @@ class SweepSummary:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "p_values"}
 
 
-def _all_marked_sets(num_states: int, r: int) -> np.ndarray:
+def _count_marked_sets(num_states: int, r: int) -> int:
+    """C(num_states, r) if it is at most ``_COUNT_CAP``, else a number above it.
+
+    The count stops once it passes the cap: every decision on a sweep's
+    size compares against the cap or less, and the exact C(2^22, 2^21)
+    alone takes minutes.  C(N, k) grows with k up to N/2, so the first
+    partial count above the cap is a lower bound of C(N, r).
+    """
+    count = 1
+    for k in range(min(r, num_states - r)):
+        count = count * (num_states - k) // (k + 1)
+        if count > _COUNT_CAP:
+            break
+    return count
+
+
+def _all_marked_sets(num_states: int, r: int, total: int) -> np.ndarray:
     """Every r-subset of range(num_states) in lexicographic order, one row each.
 
-    The indices go straight into one ``(C(N, r), r)`` intp array; no set
-    is held as a tuple.
+    ``total`` is C(num_states, r).  The indices go straight into one
+    ``(total, r)`` intp array; no set is held as a tuple.
     """
-    total = math.comb(num_states, r)
     flat = np.fromiter(
         chain.from_iterable(combinations(range(num_states), r)), np.intp, total * r
     )
     return flat.reshape(total, r)
 
 
-def _sample_marked_sets(num_states: int, r: int, count: int, seed: int | None) -> np.ndarray:
+def _sample_marked_sets(num_states: int, r: int, total: int, count: int, seed: int) -> np.ndarray:
     """``count`` distinct sorted r-subsets of range(num_states), seeded.
 
-    Returns a ``(count, r)`` intp array, one set a row.  Up to half of the
-    C(N, r) sets are drawn one at a time, each retried until it is new.
-    Above half that loop turns into a coupon collector, so the sets are
-    enumerated (C(N, r) < 2 * EXHAUSTIVE_LIMIT there) and one draw without
-    replacement picks ``count`` rows.
+    ``total`` is ``_count_marked_sets(num_states, r)``.  Returns a
+    ``(count, r)`` intp array, one set a row.  Up to half of the C(N, r)
+    sets are drawn one at a time, each retried until it is new; each draw
+    is sorted as an array and written into its row, and only its bytes
+    are kept to spot repeats.  Above half that loop turns into a coupon
+    collector, so the sets are enumerated (C(N, r) < 2 * EXHAUSTIVE_LIMIT
+    there) and one draw without replacement picks ``count`` rows.
     """
-    if seed is None:
-        raise ConfigurationError(
-            "sampling marked sets requires a seed for reproducibility"
-        )
     rng = np.random.default_rng(seed)
-    total = math.comb(num_states, r)
     if 2 * count > total:
-        return _all_marked_sets(num_states, r)[rng.choice(total, count, replace=False)]
-    chosen: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    while len(chosen) < count:
-        pick = tuple(sorted(int(i) for i in rng.choice(num_states, size=r, replace=False)))
-        if pick not in seen:
-            seen.add(pick)
-            chosen.append(pick)
-    return np.array(chosen, dtype=np.intp)
+        return _all_marked_sets(num_states, r, total)[rng.choice(total, count, replace=False)]
+    sets = np.empty((count, r), dtype=np.intp)
+    seen: set[bytes] = set()
+    filled = 0
+    while filled < count:
+        pick = np.sort(rng.choice(num_states, size=r, replace=False))
+        key = pick.tobytes()
+        if key not in seen:
+            seen.add(key)
+            sets[filled] = pick
+            filled += 1
+    return sets
 
 
-def _select_marked_sets(config: ExperimentConfig) -> tuple[np.ndarray, bool]:
+def _select_marked_sets(
+    num_states: int, r: int, samples: int | None, seed: int
+) -> tuple[np.ndarray, bool]:
     """The sweep's marked sets as a ``(sets, r)`` intp array, and whether all were taken."""
-    if config.marked is not None:
-        return np.array([config.marked], dtype=np.intp), False
-    num_states = 1 << config.n
-    total = math.comb(num_states, config.r)
-    if config.samples is None and total <= EXHAUSTIVE_LIMIT:
+    total = _count_marked_sets(num_states, r)
+    if samples is None and total <= EXHAUSTIVE_LIMIT:
         count = total
     else:
-        requested = DEFAULT_SAMPLES if config.samples is None else config.samples
-        count = min(requested, total)
+        count = min(DEFAULT_SAMPLES if samples is None else samples, total)
     if count > EXHAUSTIVE_LIMIT:
+        # Both numbers are exact up to the cap.
+        asked = count if count <= _COUNT_CAP else f"more than {_COUNT_CAP}"
+        size = f"= {total}" if total <= _COUNT_CAP else f"> {_COUNT_CAP}"
         raise ConfigurationError(
-            f"sweeping {count} of the C({num_states}, {config.r}) = {total} marked "
+            f"sweeping {asked} of the C({num_states}, {r}) {size} marked "
             f"sets exceeds the limit of {EXHAUSTIVE_LIMIT}; request at most that many"
         )
-    if count * config.r > MAX_SWEEP_INDICES:
+    if count * r > MAX_SWEEP_INDICES:
         raise ConfigurationError(
-            f"sweeping {count} marked sets of r = {config.r} holds {count * config.r} "
+            f"sweeping {count} marked sets of r = {r} holds {count * r} "
             f"indices, over the limit of MAX_SWEEP_INDICES = {MAX_SWEEP_INDICES}; "
             "request fewer sets or a smaller r"
         )
     if count < total:
-        return _sample_marked_sets(num_states, config.r, count, config.seed), False
-    return _all_marked_sets(num_states, config.r), True
+        return _sample_marked_sets(num_states, r, total, count, seed), False
+    return _all_marked_sets(num_states, r, total), True
 
 
-def sweep_marked_sets(config: ExperimentConfig) -> SweepSummary:
-    """Simulate tau iterations for each selected marked set, collect P(tau).
+def _sweep_arguments(n: int, r, samples, seed) -> tuple[int, int, int | None, int]:
+    """``(r, tau, samples, seed)`` of a sweep on ``n`` qubits, checked.
+
+    Needs no state, so a caller can run it before loading one.
+    """
+    r = _as_index(r, "r")
+    tau = optimal_iterations(n, r)
+    if samples is not None:
+        samples = _as_index(samples, "samples")
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, got {samples}")
+    return r, tau, samples, _as_seed(seed)
+
+
+def sweep_marked_sets(
+    state: QuantumState, r: int, samples: int | None = None, seed: int = 0
+) -> SweepSummary:
+    """Simulate tau iterations from ``state`` for each of many r-element marked sets.
+
+    The sweep takes all C(N, r) marked sets when ``samples`` is at least
+    C(N, r), or when ``samples`` is None and C(N, r) is at most
+    ``EXHAUSTIVE_LIMIT``; else ``samples`` (default ``DEFAULT_SAMPLES``)
+    distinct sets drawn from a PCG64 generator seeded with ``seed``.
+    Sweeping more than ``EXHAUSTIVE_LIMIT`` sets, or more than
+    ``MAX_SWEEP_INDICES`` marked indices (sets x r), is a
+    ``ConfigurationError``, raised before any set is built.
 
     The sets are simulated together, one block row per set, with
     ``run_grover_block``; each P(tau) equals that of a lone ``run_grover``
@@ -268,9 +266,8 @@ def sweep_marked_sets(config: ExperimentConfig) -> SweepSummary:
     N * |mean amplitude|^2, the closed form's leading term for r << N of
     the marked-set average (see ``averaged_success``; it is not exact).
     """
-    state = resolve_state(config.state_spec, config.n, seed=config.seed)
-    tau = optimal_iterations(config.n, config.r)
-    marked, exhaustive = _select_marked_sets(config)
+    r, tau, samples, seed = _sweep_arguments(state.n, r, samples, seed)
+    marked, exhaustive = _select_marked_sets(state.dim, r, samples, seed)
 
     rows = max(1, _BLOCK_AMPLITUDES // state.dim)
     block = np.empty((min(rows, len(marked)), state.dim), dtype=np.complex128)
@@ -292,12 +289,12 @@ def sweep_marked_sets(config: ExperimentConfig) -> SweepSummary:
         else 0.0
     )
     return SweepSummary(
-        n=config.n,
-        r=config.r,
+        n=state.n,
+        r=r,
         tau=tau,
         num_sets=len(marked),
         exhaustive=exhaustive,
-        seed=config.seed,
+        seed=seed,
         mean_p=mean_p,
         std_error=std_error,
         analytic_prediction=averaged_success(state),
@@ -336,19 +333,17 @@ class ComparisonReport:
         return payload
 
 
-def compare_run(config: ExperimentConfig) -> ComparisonReport:
-    """Evolve one explicit marked set and tabulate simulator vs closed form.
+def compare_run(
+    state: QuantumState, marked: MarkedSet, t_max: int | None = None
+) -> ComparisonReport:
+    """Tabulate simulated against closed-form P(t) for t = 0, ..., ``t_max``.
 
-    The simulated P(t) is the marked probability of the register itself,
-    read at every step exactly as ``evolve`` reads it; no moments are
-    computed along the way.
+    ``t_max`` defaults to 4 * tau.  The simulated P(t) is the marked
+    probability of the register itself, read at every step exactly as
+    ``evolve`` reads it; no moments are computed along the way.
     """
-    if config.marked is None:
-        raise ConfigurationError("compare_run needs an explicit marked set")
-    state = resolve_state(config.state_spec, config.n, seed=config.seed)
-    marked = MarkedSet(1 << config.n, config.marked)
     params = compute_params(state, marked)
-    t_max = config.t_max if config.t_max is not None else 4 * params.tau
+    t_max = 4 * params.tau if t_max is None else t_max
     idx = marked.indices_array
     rows = []
     for t, amps in enumerate(_registers(state, marked, t_max)):
@@ -356,8 +351,8 @@ def compare_run(config: ExperimentConfig) -> ComparisonReport:
         p_analytic = analytic_success(params, t)
         rows.append(ComparisonRow(t, p_sim, p_analytic, abs(p_sim - p_analytic)))
     return ComparisonReport(
-        n=config.n,
-        r=config.r,
+        n=state.n,
+        r=marked.r,
         marked=marked.indices,
         tau=params.tau,
         tau_m=params.tau_m,

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from groverdyn import (
-    ExperimentConfig,
     MarkedSet,
     ProductState,
     analytic_success,
@@ -114,12 +113,12 @@ def test_original_algorithm_performance():
 def test_ghz_and_w_averaged_success():
     num_states = 1024
     slack = 10 / math.sqrt(num_states)
-    ghz = sweep_marked_sets(ExperimentConfig(n=10, r=1, state_spec="ghz"))
+    ghz = sweep_marked_sets(build_state("ghz", 10), 1)
     assert ghz.exhaustive and ghz.num_sets == num_states
     print(f"  GHZ mean P(tau) = {ghz.mean_p:.6f}, prediction {2 / num_states:.6f}")
     assert abs(ghz.mean_p - 2 / num_states) < slack
 
-    w = sweep_marked_sets(ExperimentConfig(n=10, r=1, state_spec="w"))
+    w = sweep_marked_sets(build_state("w", 10), 1)
     print(f"  W mean P(tau) = {w.mean_p:.6f}, prediction {10 / num_states:.6f}")
     assert abs(w.mean_p - 10 / num_states) < slack
 
@@ -130,15 +129,12 @@ def test_r_independence():
     slack = 10 / math.sqrt(num_states)
     worst = 0.0
     for i in range(10):
-        one = sweep_marked_sets(
-            ExperimentConfig(n=10, r=1, state_spec="haar", seed=i)
-        )
+        state = build_state("haar", 10, seed=i)
+        one = sweep_marked_sets(state, 1, seed=i)
         assert one.exhaustive
         # the exhaustive simulated average also matches N*|mean amplitude|^2
         assert abs(one.mean_p - one.analytic_prediction) < slack
-        two = sweep_marked_sets(
-            ExperimentConfig(n=10, r=2, state_spec="haar", samples=2000, seed=i)
-        )
+        two = sweep_marked_sets(state, 2, samples=2000, seed=i)
         assert two.num_sets >= 2000
         worst = max(worst, abs(one.mean_p - two.mean_p))
     print(f"  max |mean(r=1) - mean(r=2)| = {worst:.4f}"
@@ -213,9 +209,7 @@ def test_zero_mean_states():
         state = build_state("zero_mean", 10, seed=i)
         predicted = averaged_success(state)
         assert predicted < slack
-        summary = sweep_marked_sets(
-            ExperimentConfig(n=10, r=1, state_spec="zero_mean", seed=i)
-        )
+        summary = sweep_marked_sets(state, 1, seed=i)
         assert summary.exhaustive
         worst_gap = max(worst_gap, abs(summary.mean_p - predicted))
     print(f"  max |simulated mean - prediction| = {worst_gap:.4f}"

@@ -111,6 +111,33 @@ def test_steps_beyond_trajectory_limit_exit_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--marked", "0", "--steps", "100001"], "t_max must be in"),
+        (["compare", "--marked", "0", "--steps", "100001"], "t_max must be in"),
+        (["compare", "--marked", "8", "--steps", "3"], "must lie in [0, 8)"),
+        (["classify", "--marked", "0,0"], "must be distinct"),
+        (["avg-success", "--r", "8"], "r must satisfy"),
+        (["avg-success", "--r", "1", "--samples", "0"], "samples must be >= 1"),
+        (["avg-success", "--r", "1", "--seed", "-1"], "seed must be a non-negative"),
+    ],
+    ids=["simulate-steps", "compare-steps", "compare-marked", "classify-marked",
+         "avg-success-r", "avg-success-samples", "avg-success-seed"],
+)
+def test_arguments_are_refused_before_the_state_is_loaded(tmp_path, capsys, argv, message):
+    # A state file can be large; nothing that can be checked without it
+    # waits for it to load.
+    stored = tmp_path / "eta.json"
+    save_state(build_state("eta", 3), stored)
+    if argv[0] != "classify":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    with mock.patch.object(groverdyn.cli, "resolve_state", side_effect=AssertionError("loaded")):
+        code = main(argv + ["--state", str(stored), "--n", "3"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["avg-success", "--state", "eta", "--n", "3", "--r", "1"],
@@ -285,7 +312,7 @@ def test_avg_success_sampled_output_is_pinned(tmp_path):
     # The GHZ state lives on {0, 4095}; how many drawn sets hit it 0, 1 and
     # 2 times pins the sampler's choice exactly, apart from the kernel's
     # rounding, which moves mean_p in its last digits.
-    sets = _sample_marked_sets(4096, 2, 2000, seed=11)
+    sets = _sample_marked_sets(4096, 2, 4096 * 4095 // 2, 2000, seed=11)
     hits = [sum(i in (0, 4095) for i in s) for s in sets]
     assert [hits.count(k) for k in range(3)] == [1998, 2, 0]
     out = tmp_path / "avg.json"

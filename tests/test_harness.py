@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from groverdyn import (
     ConfigurationError,
-    ExperimentConfig,
     QuantumState,
     averaged_success,
     build_state,
@@ -106,45 +106,70 @@ def test_resolve_state_hints_for_parameterized_builders():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ExperimentConfig(n=0, r=1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(n=3, r=8)
-    with pytest.raises(ValueError):
-        ExperimentConfig(n=3, r=2, marked=(1,))
-    with pytest.raises(ValueError):
-        ExperimentConfig(n=3, r=1, samples=0)
+        resolve_state("eta", 0)
+    # The sweep checks its arguments before any marked set is selected.
+    eta = build_state("eta", 3)
+    with mock.patch.object(harness, "_select_marked_sets", side_effect=AssertionError("built")):
+        with pytest.raises(ValueError):
+            sweep_marked_sets(eta, 8)
+        with pytest.raises(ValueError):
+            sweep_marked_sets(eta, 1, samples=0)
+        with pytest.raises(ValueError, match="seed"):
+            sweep_marked_sets(eta, 1, samples=5, seed=None)
 
 
-@pytest.mark.parametrize("field", ["samples", "t_max"])
-def test_config_rejects_non_integer_counts(field):
+def test_sweep_reports_numpy_integer_arguments_as_ints(tmp_path):
+    # r, samples and seed from numpy arithmetic are stored as Python ints,
+    # so the summary writes as JSON.
+    summary = sweep_marked_sets(
+        build_state("eta", 4), np.int64(2), samples=np.int64(5), seed=np.int64(3)
+    )
+    assert type(summary.r) is int and type(summary.seed) is int
+    out = tmp_path / "avg.json"
+    write_json(out, summary.to_json_dict())
+    assert json.loads(out.read_text())["r"] == 2
+
+
+@pytest.mark.parametrize(
+    "field, run",
+    [
+        ("samples", lambda: sweep_marked_sets(build_state("eta", 3), 1, samples=2.5)),
+        ("t_max", lambda: compare_run(build_state("eta", 3), MarkedSet(8, (1,)), 2.5)),
+    ],
+    ids=["samples", "t_max"],
+)
+def test_config_rejects_non_integer_counts(field, run):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
-        ExperimentConfig(n=3, r=1, **{field: 2.5})
+        run()
 
 
 def test_config_bounds_t_max_like_evolve():
-    assert ExperimentConfig(n=3, r=1, t_max=MAX_TRAJECTORY_STEPS).t_max == MAX_TRAJECTORY_STEPS
+    eta, marked = build_state("eta", 1), MarkedSet(2, (0,))
+    report = compare_run(eta, marked, MAX_TRAJECTORY_STEPS)
+    assert report.rows[-1].t == MAX_TRAJECTORY_STEPS
     with pytest.raises(ValueError, match="t_max must be in"):
-        ExperimentConfig(n=3, r=1, t_max=MAX_TRAJECTORY_STEPS + 1)
+        compare_run(eta, marked, MAX_TRAJECTORY_STEPS + 1)
     with pytest.raises(ValueError, match="t_max must be in"):
-        ExperimentConfig(n=3, r=1, t_max=-1)
+        compare_run(eta, marked, -1)
 
 
 def test_config_rejects_non_integer_marked_index():
     with pytest.raises(ValueError, match="marked index must be an integer"):
-        ExperimentConfig(n=3, r=1, marked=(1.7,))
+        MarkedSet(8, (1.7,))
 
 
 def test_config_validates_marked_set_like_marked_set():
-    # A repeated index used to give P(tau) = 1.5625 from the sweep.
+    # compare_run takes its marked set from MarkedSet, which refuses
+    # repeated and out-of-range indices and sorts the rest.
     with pytest.raises(ValueError, match="distinct"):
-        ExperimentConfig(n=3, r=2, marked=(1, 1))
+        MarkedSet(8, (1, 1))
     with pytest.raises(ValueError, match=r"\[0, 8\)"):
-        ExperimentConfig(n=3, r=1, marked=(9,))
-    assert ExperimentConfig(n=3, r=2, marked=(5, 1)).marked == (1, 5)
+        MarkedSet(8, (9,))
+    assert compare_run(build_state("eta", 3), MarkedSet(8, (5, 1)), 0).marked == (1, 5)
 
 
 def test_sweep_eta_exhaustive_single_marked():
-    summary = sweep_marked_sets(ExperimentConfig(n=8, r=1, state_spec="eta"))
+    summary = sweep_marked_sets(build_state("eta", 8), 1)
     assert summary.exhaustive
     assert summary.num_sets == 256
     assert summary.mean_p >= 0.99
@@ -152,33 +177,30 @@ def test_sweep_eta_exhaustive_single_marked():
 
 
 def test_sweep_ghz_matches_prediction():
-    summary = sweep_marked_sets(ExperimentConfig(n=8, r=1, state_spec="ghz"))
+    summary = sweep_marked_sets(build_state("ghz", 8), 1)
     num_states = 256
     assert abs(summary.mean_p - 2 / num_states) < 10 / math.sqrt(num_states)
     assert abs(summary.analytic_prediction - 2 / num_states) < 1e-12
 
 
 def test_sampled_sweep_is_deterministic_and_consistent():
-    config = ExperimentConfig(n=8, r=1, state_spec="haar", samples=120, seed=5)
-    first = sweep_marked_sets(config)
-    second = sweep_marked_sets(config)
+    state = build_state("haar", 8, seed=5)
+    first = sweep_marked_sets(state, 1, samples=120, seed=5)
+    second = sweep_marked_sets(state, 1, samples=120, seed=5)
     assert first.p_values == second.p_values
     assert not first.exhaustive
 
-    exhaustive = sweep_marked_sets(
-        ExperimentConfig(n=8, r=1, state_spec="haar", seed=5)
-    )
+    exhaustive = sweep_marked_sets(state, 1, seed=5)
     assert exhaustive.exhaustive
     spread = 3 * max(first.std_error, 1e-6)
     assert abs(first.mean_p - exhaustive.mean_p) <= spread
 
 
-def per_set_p_values(config):
+def per_set_p_values(state, r, samples, seed):
     """P(tau) of each selected set from its own single-vector kernel run."""
-    state = resolve_state(config.state_spec, config.n, seed=config.seed)
-    tau = optimal_iterations(config.n, config.r)
+    tau = optimal_iterations(state.n, r)
     p_values = []
-    for indices in _select_marked_sets(config)[0]:
+    for indices in _select_marked_sets(state.dim, r, samples, seed)[0]:
         idx = np.asarray(indices, dtype=np.intp)
         amps = state.amplitudes.copy()
         run_grover(amps, idx, tau)
@@ -200,10 +222,10 @@ def test_sweep_matches_per_set_loop(n, r, seed, samples, rows):
     r = min(r, (1 << n) - 1)
     if samples is None and math.comb(1 << n, r) > 2000:
         samples = 60
-    config = ExperimentConfig(n=n, r=r, state_spec="haar", samples=samples, seed=seed)
+    state = build_state("haar", n, seed=seed)
     with mock.patch.object(harness, "_BLOCK_AMPLITUDES", rows << n):
-        summary = sweep_marked_sets(config)
-    assert summary.p_values == per_set_p_values(config)
+        summary = sweep_marked_sets(state, r, samples, seed)
+    assert summary.p_values == per_set_p_values(state, r, samples, seed)
 
 
 @pytest.mark.parametrize(
@@ -213,11 +235,12 @@ def test_sweep_matches_per_set_loop_at_default_block_size(n, r, samples):
     # 100 rows at n = 10 (32 a block), 40 at n = 11 (16 a block) and 20 at
     # n = 12 (8 a block) leave a partial last block; n = 3 fits all 28 sets
     # in one partial block.
-    config = ExperimentConfig(n=n, r=r, state_spec="haar", samples=samples, seed=11)
-    assert sweep_marked_sets(config).p_values == per_set_p_values(config)
+    state = build_state("haar", n, seed=11)
+    summary = sweep_marked_sets(state, r, samples, 11)
+    assert summary.p_values == per_set_p_values(state, r, samples, 11)
 
 
-# _sample_marked_sets(64, 2, 100, seed=3) as drawn one set at a time; the
+# _sample_marked_sets(64, 2, 2016, 100, seed=3) as drawn one set at a time; the
 # draws for counts up to half of C(N, r) must not change.
 _PINNED_SAMPLE = [
     (5, 51), (11, 14), (37, 54), (5, 21), (30, 39), (10, 44), (2, 7), (24, 56), (26, 27),
@@ -236,11 +259,11 @@ _PINNED_SAMPLE = [
 
 
 def test_sample_marked_sets_unique_and_seeded():
-    sets = _sample_marked_sets(64, 2, 100, seed=3)
+    sets = _sample_marked_sets(64, 2, 2016, 100, seed=3)
     assert sets.dtype == np.intp and sets.shape == (100, 2)
     assert len(set(map(tuple, sets.tolist()))) == 100
     assert all(s[0] < s[1] for s in sets.tolist())
-    assert np.array_equal(sets, _sample_marked_sets(64, 2, 100, seed=3))
+    assert np.array_equal(sets, _sample_marked_sets(64, 2, 2016, 100, seed=3))
     assert [tuple(s) for s in sets.tolist()] == _PINNED_SAMPLE
 
 
@@ -274,58 +297,45 @@ def test_sample_marked_sets_above_half_takes_one_draw(num_states, r):
         return rngs[-1]
 
     with mock.patch.object(np.random, "default_rng", counting_rng):
-        sets = _sample_marked_sets(num_states, r, total - 1, seed=8)
+        sets = _sample_marked_sets(num_states, r, total, total - 1, seed=8)
     assert [rng.draws for rng in rngs] == [1]
     assert sets.dtype == np.intp and sets.shape == (total - 1, r)
     assert len(set(map(tuple, sets.tolist()))) == total - 1
     assert all(
         s == sorted(s) and 0 <= s[0] and s[-1] < num_states for s in sets.tolist()
     )
-    assert np.array_equal(sets, _sample_marked_sets(num_states, r, total - 1, seed=8))
-
-
-def test_sampling_without_seed_is_configuration_error():
-    with pytest.raises(ConfigurationError, match="seed"):
-        sweep_marked_sets(
-            ExperimentConfig(n=10, r=2, state_spec="eta", samples=50, seed=None)
-        )
+    assert np.array_equal(sets, _sample_marked_sets(num_states, r, total, total - 1, seed=8))
 
 
 def test_forced_exhaustive_beyond_limit_is_configuration_error():
     # samples=C(N, r) forces an exhaustive sweep; C(1024, 2) = 523776 sets
     # is over the limit.
     with pytest.raises(ConfigurationError, match="exceeds"):
-        sweep_marked_sets(
-            ExperimentConfig(
-                n=10, r=2, state_spec="eta", samples=math.comb(1024, 2), seed=0
-            )
-        )
+        sweep_marked_sets(build_state("eta", 10), 2, samples=math.comb(1024, 2))
 
 
 def test_sample_count_beyond_limit_is_configuration_error():
     # Asking for at least all C(512, 2) = 130816 sets means enumerating them,
     # which is over the limit just as a forced exhaustive sweep is.
     with pytest.raises(ConfigurationError, match="exceeds"):
-        sweep_marked_sets(
-            ExperimentConfig(n=9, r=2, state_spec="eta", samples=200_000, seed=0)
-        )
+        sweep_marked_sets(build_state("eta", 9), 2, samples=200_000)
 
 
 def test_sampled_sweep_beyond_limit_is_configuration_error():
     # The limit holds for sampled sweeps too, before any set is drawn.
-    config = ExperimentConfig(n=12, r=2, state_spec="eta", samples=120_000, seed=1)
+    eta = build_state("eta", 12)
     with mock.patch.object(harness, "_sample_marked_sets", side_effect=AssertionError("drew")):
         with pytest.raises(ConfigurationError, match="exceeds the limit"):
-            sweep_marked_sets(config)
+            sweep_marked_sets(eta, 2, samples=120_000, seed=1)
 
 
 def test_sweep_index_limit_refuses_before_enumerating():
     # C(8192, 8191) = 8192 sets is under the set limit, but 8192 x 8191
     # indices are over MAX_SWEEP_INDICES: refused before any set is built.
-    config = ExperimentConfig(n=13, r=8191, state_spec="eta")
+    eta = build_state("eta", 13)
     with mock.patch.object(harness, "combinations", side_effect=AssertionError("enumerated")):
         with pytest.raises(ConfigurationError, match="MAX_SWEEP_INDICES"):
-            sweep_marked_sets(config)
+            sweep_marked_sets(eta, 8191)
 
 
 class _Enumerated(Exception):
@@ -336,21 +346,53 @@ def test_sweep_index_limit_admits_n12_r4095():
     # The selector passes the limits and starts the one enumeration; the
     # stand-ins stop it there, before 128 MiB of indices are built.
     assert 4096 * 4095 <= harness.MAX_SWEEP_INDICES < 8192 * 8191
-    config = ExperimentConfig(n=12, r=4095, state_spec="eta")
     with mock.patch.object(harness, "combinations", side_effect=_Enumerated) as enumerate_sets:
         with pytest.raises(_Enumerated):
-            _select_marked_sets(config)
+            _select_marked_sets(4096, 4095, None, 0)
     enumerate_sets.assert_called_once_with(range(4096), 4095)
     with mock.patch.object(harness, "_all_marked_sets", return_value="every set") as every:
-        assert _select_marked_sets(config) == ("every set", True)
-    every.assert_called_once_with(4096, 4095)
+        assert _select_marked_sets(4096, 4095, None, 0) == ("every set", True)
+    every.assert_called_once_with(4096, 4095, 4096)
+
+
+@pytest.mark.parametrize("n", [22, 24])
+@pytest.mark.parametrize(
+    "samples, message",
+    [(None, "MAX_SWEEP_INDICES"), (10, "MAX_SWEEP_INDICES"), (100_001, "exceeds the limit")],
+)
+def test_half_register_sweep_is_refused_without_the_exact_count(n, samples, message):
+    # C(2^22, 2^21) alone took minutes to compute; the selector counts
+    # only as far as its limits need.
+    with mock.patch.object(harness.math, "comb", side_effect=AssertionError("exact count")):
+        with pytest.raises(ConfigurationError, match=message):
+            _select_marked_sets(1 << n, 1 << (n - 1), samples, 1)
+
+
+@pytest.mark.parametrize(
+    "num_states, r", [(6, 3), (20, 10), (64, 3), (1 << 12, 2), (1 << 12, 3), (1 << 12, 4093)]
+)
+def test_count_marked_sets_is_exact_up_to_the_cap(num_states, r):
+    exact = math.comb(num_states, r)
+    count = harness._count_marked_sets(num_states, r)
+    if exact <= harness._COUNT_CAP:
+        assert count == exact
+    else:
+        assert harness._COUNT_CAP < count <= exact
+
+
+def test_sampler_holds_little_beyond_its_sets():
+    # r = N - 1 drawn one set at a time: each draw is sorted and stored as
+    # one intp row, and only its bytes are kept to spot repeats.
+    peak, sets = traced_peak(lambda: _sample_marked_sets(1024, 1023, 1024, 200, seed=1))
+    assert sets.shape == (200, 1023)
+    assert peak <= 2.5 * sets.nbytes, peak / sets.nbytes
 
 
 @pytest.mark.parametrize("seed, message", [(-1, "a non-negative integer"), (2.0, "an integer")])
 @pytest.mark.parametrize(
     "build",
     [
-        lambda seed: ExperimentConfig(n=3, r=1, seed=seed),
+        lambda seed: sweep_marked_sets(build_state("eta", 3), 1, seed=seed),
         lambda seed: build_state("haar", 3, seed=seed),
         lambda seed: build_state("zero_mean", 3, seed=seed),
     ],
@@ -364,8 +406,7 @@ def test_seed_must_be_a_non_negative_integer(build, seed, message):
 def test_exhaustive_sweep_holds_its_sets_once():
     # r = N - 1 at n = 11: 2048 sets of 2047 indices, 32 MiB of intp, built
     # straight into one array.  Every set leaves eta at P = r/N (tau = 0).
-    config = ExperimentConfig(n=11, r=2047)
-    peak, summary = traced_peak(lambda: sweep_marked_sets(config))
+    peak, summary = traced_peak(lambda: sweep_marked_sets(build_state("eta", 11), 2047))
     indices_bytes = 2048 * 2047 * np.dtype(np.intp).itemsize
     assert peak <= 1.25 * indices_bytes, peak / indices_bytes
     assert summary.exhaustive and summary.num_sets == 2048
@@ -373,24 +414,20 @@ def test_exhaustive_sweep_holds_its_sets_once():
 
 
 def test_sample_count_capped_at_population():
-    summary = sweep_marked_sets(
-        ExperimentConfig(n=4, r=1, state_spec="eta", samples=1000, seed=1)
-    )
+    summary = sweep_marked_sets(build_state("eta", 4), 1, samples=1000, seed=1)
     assert summary.num_sets == 16
     assert summary.exhaustive
 
 
 def test_compare_run_eta():
-    config = ExperimentConfig(n=10, r=1, state_spec="eta", marked=(7,), t_max=100)
-    report = compare_run(config)
+    report = compare_run(build_state("eta", 10), MarkedSet(1024, (7,)), 100)
     assert report.tau == 25
     assert len(report.rows) == 101
     assert report.max_abs_err < 1e-10
 
 
 def test_compare_run_ghz_default_horizon():
-    config = ExperimentConfig(n=8, r=1, state_spec="ghz", marked=(0,))
-    report = compare_run(config)
+    report = compare_run(build_state("ghz", 8), MarkedSet(256, (0,)))
     assert report.rows[-1].t == 4 * report.tau
     assert report.max_abs_err < 1e-10
 
@@ -400,19 +437,11 @@ def test_compare_run_two_cycle_state(tmp_path):
     state = two_cycle_state(marked)
     path = tmp_path / "twocycle.json"
     save_state(state, path)
-    config = ExperimentConfig(
-        n=4, r=2, state_spec=str(path), marked=(0, 5), t_max=40
-    )
-    report = compare_run(config)
+    report = compare_run(load_state(path), marked, 40)
     assert report.delta_p < 1e-12
     p_values = [row.p_sim for row in report.rows]
     assert max(p_values) - min(p_values) < 1e-12
     assert report.max_abs_err < 1e-12
-
-
-def test_compare_run_requires_marked_set():
-    with pytest.raises(ConfigurationError, match="marked"):
-        compare_run(ExperimentConfig(n=4, r=1, state_spec="eta"))
 
 
 @pytest.mark.parametrize("t_max", [None, 0, 1, 37])
@@ -427,12 +456,10 @@ def test_compare_run_p_sim_is_evolve_p_marked(tmp_path, spec, n, marked, t_max):
     if spec == "two_cycle":
         spec = str(tmp_path / "two_cycle.json")
         save_state(two_cycle_state(MarkedSet(1 << n, marked)), spec)
-    config = ExperimentConfig(
-        n=n, r=len(marked), state_spec=spec, marked=marked, t_max=t_max, seed=4
-    )
-    report = compare_run(config)
     state = resolve_state(spec, n, seed=4)
-    expected = evolve(state, MarkedSet(1 << n, marked), report.rows[-1].t)
+    marked = MarkedSet(1 << n, marked)
+    report = compare_run(state, marked, t_max)
+    expected = evolve(state, marked, report.rows[-1].t)
     assert report.rows[-1].t == (4 * report.tau if t_max is None else t_max)
     assert [row.t for row in report.rows] == [step.t for step in expected.steps]
     assert np.array_equal(np.array([row.p_sim for row in report.rows]), expected.p_marked())
@@ -448,10 +475,10 @@ def test_compare_run_computes_moments_once():
         calls.append(1)
         return moments_from_array(*args, **kwargs)
 
-    config = ExperimentConfig(n=8, r=2, state_spec="haar", marked=(1, 200), t_max=30, seed=2)
+    state = build_state("haar", 8, seed=2)
     with mock.patch.object(core, "_moments_from_array", counting), \
             mock.patch.object(simulator, "_moments_from_array", counting):
-        report = compare_run(config)
+        report = compare_run(state, MarkedSet(256, (1, 200)), 30)
     assert len(report.rows) == 31
     assert len(calls) == 1
 
