@@ -13,6 +13,15 @@ groverdyn compare --state s.json --n 16 --marked 3,77,40000 --steps 20 --out cmp
 python -c 'import json; e = json.load(open("cmp.json"))["max_abs_err"]; assert e <= 1e-10, e'
 # The simulated P at the last step matches the closed form within the same bound.
 python -c 'import csv; from groverdyn import MarkedSet, analytic_success, compute_params, load_state; last = list(csv.DictReader(open("traj.csv")))[-1]; p = analytic_success(compute_params(load_state("s.json"), MarkedSet(1 << 16, (3, 77, 40000))), int(last["t"])); e = abs(float(last["p_marked"]) - p); assert e <= 1e-10, e'
+# Flags over a limit are refused before the state file loads: a sweep of
+# 100001 sets is a configuration error (exit code 3), and the grid oracle
+# at n > 3 is invalid input (exit code 2).
+code=0
+groverdyn avg-success --state s.json --n 16 --r 2 --samples 100001 --out over-s.json || code=$?
+test "$code" -eq 3
+code=0
+groverdyn groverian --state s.json --n 16 --oracle-check || code=$?
+test "$code" -eq 2
 groverdyn avg-success --state eta --n 6 --r 2 --out avg-all.json
 groverdyn avg-success --state ghz --n 10 --r 2 --samples 500 --seed 7 --out avg-sampled.json
 # The sweep size the benchmark times: 4096 sets, 8 rows of 2^12 amplitudes a block.
@@ -37,6 +46,10 @@ test "$code" -eq 3
 # number is drawn.
 code=0
 groverdyn avg-success --state eta --n 3 --r 1 --seed -1 --out neg-seed.json || code=$?
+test "$code" -eq 2
+# So is a negative seed given to a builder that draws none.
+code=0
+groverdyn state make eta --n 3 --seed -1 --out neg-seed-eta.json || code=$?
 test "$code" -eq 2
 # 100001 steps exceed the trajectory limit: invalid input, exit code 2.
 code=0

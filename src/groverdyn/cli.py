@@ -13,8 +13,13 @@ import json
 import sys
 
 from .core import MarkedSet, _as_qubit_count, save_state
-from .dynamics import classify, detect_cycle
-from .groverian import grid_search_oracle, optimize_product
+from .dynamics import _as_max_period, _as_tolerance, classify, detect_cycle
+from .groverian import (
+    _optimizer_arguments,
+    _oracle_arguments,
+    grid_search_oracle,
+    optimize_product,
+)
 from .harness import (
     ConfigurationError,
     build_state,
@@ -23,13 +28,16 @@ from .harness import (
     sweep_marked_sets,
     write_json,
     write_snapshots,
-    _sweep_arguments,
+    _sweep_plan,
 )
-from .simulator import _as_step_count, evolve
+from .simulator import _as_step_count, _evolve_arguments, evolve
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_CONFIG_ERROR = 3
+
+# Grid points per angle of ``groverian --oracle-check``.
+ORACLE_RESOLUTION = 100
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,7 +120,7 @@ def _marked_set(args) -> MarkedSet:
 
 def _cmd_simulate(args) -> int:
     marked = _marked_set(args)
-    _as_step_count(args.steps)
+    _evolve_arguments(args.n, args.steps, args.full_snapshots)
     state = resolve_state(args.state, args.n)
     trajectory = evolve(state, marked, args.steps, record_full_states=args.full_snapshots)
     trajectory.write_csv(args.out)
@@ -131,7 +139,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_avg_success(args) -> int:
-    _sweep_arguments(args.n, args.r, args.samples, args.seed)
+    _sweep_plan(args.n, args.r, args.samples, args.seed)
     state = resolve_state(args.state, args.n, seed=args.seed)
     summary = sweep_marked_sets(state, args.r, samples=args.samples, seed=args.seed)
     write_json(args.out, summary.to_json_dict())
@@ -140,6 +148,9 @@ def _cmd_avg_success(args) -> int:
 
 def _cmd_classify(args) -> int:
     marked = _marked_set(args)
+    _as_tolerance(args.tol)
+    if args.max_period is not None:
+        _as_max_period(args.max_period)
     state = resolve_state(args.state, args.n)
     verdict = classify(state, marked, tol=args.tol)
     abar_m, abar_u = verdict.evidence["abar_m"], verdict.evidence["abar_u"]
@@ -157,10 +168,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_groverian(args) -> int:
+    if args.oracle_check:
+        _oracle_arguments(_as_qubit_count(args.n), ORACLE_RESOLUTION)
+    _optimizer_arguments(args.restarts, args.seed)
     state = resolve_state(args.state, args.n)
-    # The oracle runs first, so that it refuses n > 3 before the optimizer
-    # spends any time; it draws no random numbers.
-    oracle_p = grid_search_oracle(state, 100) if args.oracle_check else None
+    oracle_p = grid_search_oracle(state, ORACLE_RESOLUTION) if args.oracle_check else None
     result = optimize_product(state, restarts=args.restarts, seed=args.seed)
     payload = {
         "n": args.n,
@@ -175,7 +187,7 @@ def _cmd_groverian(args) -> int:
     }
     if args.oracle_check:
         payload["oracle"] = {
-            "resolution": 100,
+            "resolution": ORACLE_RESOLUTION,
             "p_max": oracle_p,
             "consistent": bool(result.p_max >= oracle_p - 1e-3),
         }

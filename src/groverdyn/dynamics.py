@@ -18,7 +18,7 @@ import numpy as np
 
 from .analytic import compute_params
 from .core import MarkedSet, QuantumState, _as_index
-from .simulator import _registers
+from .simulator import _as_step_count, _registers
 
 # Acceptance window for treating omega/pi as the rational it rounds to,
 # and the largest denominator tried by the continued-fraction expansion.
@@ -59,6 +59,13 @@ def _rational_omega(omega: float, q_max: int) -> tuple[int, int] | None:
     return None
 
 
+def _as_tolerance(tol) -> float:
+    """``classify``'s check of ``tol``: positive and finite."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    return tol
+
+
 def classify(state: QuantumState, marked: MarkedSet, tol: float = 1e-9) -> StateClass:
     """Classify ``state`` under the Grover iteration with ``marked``.
 
@@ -66,8 +73,7 @@ def classify(state: QuantumState, marked: MarkedSet, tol: float = 1e-9) -> State
     looser than fidelity tolerances because the moments accumulate
     N-term summation error).
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    tol = _as_tolerance(tol)
     params = compute_params(state, marked)
     abar_m_abs = abs(params.a_bar_m0)
     abar_u_abs = abs(params.a_bar_u0)
@@ -116,6 +122,14 @@ def classify(state: QuantumState, marked: MarkedSet, tol: float = 1e-9) -> State
     return StateClass(StateKind.GENERIC, None, evidence)
 
 
+def _as_max_period(max_period) -> int:
+    """``detect_cycle``'s check of ``max_period``: in [1, ``MAX_TRAJECTORY_STEPS``]."""
+    max_period = _as_index(max_period, "max_period")
+    if max_period < 1:
+        raise ValueError(f"max_period must be >= 1, got {max_period}")
+    return _as_step_count(max_period, "max_period")
+
+
 def detect_cycle(
     state: QuantumState,
     marked: MarkedSet,
@@ -133,9 +147,7 @@ def detect_cycle(
     flip of the initial state.  ``max_period`` is at most
     ``MAX_TRAJECTORY_STEPS``, the bound on every trajectory.
     """
-    max_period = _as_index(max_period, "max_period")
-    if max_period < 1:
-        raise ValueError(f"max_period must be >= 1, got {max_period}")
+    max_period = _as_max_period(max_period)
     initial = state.amplitudes
     registers = _registers(state, marked, max_period, "max_period")
     next(registers)  # t = 0, the initial state; checks the arguments

@@ -137,6 +137,14 @@ def _ascend(
     return value, factors, converged, history
 
 
+def _optimizer_arguments(restarts, seed) -> tuple[int, int]:
+    """``optimize_product``'s checks: ``(restarts, seed)``, with restarts >= 1."""
+    restarts = _as_index(restarts, "restarts")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts!r}")
+    return restarts, _as_seed(seed)
+
+
 def optimize_product(
     state: QuantumState,
     restarts: int = 32,
@@ -151,12 +159,10 @@ def optimize_product(
     An ascent stops after ``MAX_SWEEPS`` sweeps or at the first sweep that
     gains less than ``SWEEP_TOL``; ``converged`` tells which, for the best.
     """
-    restarts = _as_index(restarts, "restarts")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts!r}")
+    restarts, seed = _optimizer_arguments(restarts, seed)
     n = state.n
     psi_t = state.amplitudes.reshape((2,) * n)
-    rng = np.random.default_rng(_as_seed(seed))
+    rng = np.random.default_rng(seed)
 
     warm = _basis_factors(n, int(np.argmax(np.abs(state.amplitudes))))
 
@@ -198,6 +204,16 @@ def _angle_grid(resolution: int) -> np.ndarray:
     return grid
 
 
+def _oracle_arguments(n: int, resolution) -> int:
+    """``grid_search_oracle``'s checks: n <= 3 and a resolution >= 16, returned."""
+    if n > 3:
+        raise ValueError(f"grid_search_oracle supports n <= 3, got n={n}")
+    resolution = _as_index(resolution, "resolution")
+    if resolution < 16:
+        raise ValueError(f"resolution must be >= 16, got {resolution!r}")
+    return resolution
+
+
 def grid_search_oracle(state: QuantumState, resolution: int) -> float:
     """Independent lower bound on P_max for n <= 3 by exhaustive search.
 
@@ -208,11 +224,7 @@ def grid_search_oracle(state: QuantumState, resolution: int) -> float:
     over a resolution x resolution polar/azimuthal grid, and the bound
     approaches P_max as the resolution grows.
     """
-    if state.n > 3:
-        raise ValueError(f"grid_search_oracle supports n <= 3, got n={state.n}")
-    resolution = _as_index(resolution, "resolution")
-    if resolution < 16:
-        raise ValueError(f"resolution must be >= 16, got {resolution!r}")
+    resolution = _oracle_arguments(state.n, resolution)
 
     amps = state.amplitudes
     if state.n == 1:

@@ -1,7 +1,9 @@
 """State builders, marked-set sweeps and simulator-vs-closed-form runs.
 
 ``sweep_marked_sets`` and ``compare_run`` take a built state (see
-``resolve_state``) and the values they use, and check those values.
+``resolve_state``) and the values they use, and check those values.  A
+sweep is sized once, by ``_sweep_plan`` from its arguments alone (the
+CLI runs it before any state loads), then ``_marked_sets`` builds it.
 
 Everything here is deterministic given its arguments: random states
 and sampled marked sets come from a seeded numpy PCG64 generator
@@ -73,6 +75,8 @@ def build_state(name: str, n: int, k: int | None = None, seed: int | None = None
     k_uniform  first k amplitudes equal to 1/sqrt(k)
     """
     n = _as_qubit_count(n)
+    if seed is not None:
+        seed = _as_seed(seed)
     num_states = 1 << n
 
     if name == "eta":
@@ -91,7 +95,7 @@ def build_state(name: str, n: int, k: int | None = None, seed: int | None = None
     elif name == "zero_mean":
         if seed is None:
             raise ValueError("zero_mean state needs a seed")
-        rng = np.random.default_rng(_as_seed(seed))
+        rng = np.random.default_rng(seed)
         half = rng.standard_normal(num_states // 2) + 1j * rng.standard_normal(num_states // 2)
         amps = np.empty(num_states, dtype=np.complex128)
         amps[0::2] = half
@@ -100,7 +104,7 @@ def build_state(name: str, n: int, k: int | None = None, seed: int | None = None
     elif name == "haar":
         if seed is None:
             raise ValueError("haar state needs a seed")
-        rng = np.random.default_rng(_as_seed(seed))
+        rng = np.random.default_rng(seed)
         amps = rng.standard_normal(num_states) + 1j * rng.standard_normal(num_states)
         return QuantumState.renormalized(n, amps)
     elif name == "k_uniform":
@@ -178,37 +182,21 @@ def _all_marked_sets(num_states: int, r: int, total: int) -> np.ndarray:
     return flat.reshape(total, r)
 
 
-def _sample_marked_sets(num_states: int, r: int, total: int, count: int, seed: int) -> np.ndarray:
-    """``count`` distinct sorted r-subsets of range(num_states), seeded.
+def _sweep_plan(n: int, r, samples, seed) -> tuple[int, int, int, int, int]:
+    """``(r, tau, total, count, seed)`` of a sweep on ``n`` qubits, checked.
 
-    ``total`` is ``_count_marked_sets(num_states, r)``.  Returns a
-    ``(count, r)`` intp array, one set a row.  Up to half of the C(N, r)
-    sets are drawn one at a time, each retried until it is new; each draw
-    is sorted as an array and written into its row, and only its bytes
-    are kept to spot repeats.  Above half that loop turns into a coupon
-    collector, so the sets are enumerated (C(N, r) < 2 * EXHAUSTIVE_LIMIT
-    there) and one draw without replacement picks ``count`` rows.
+    ``total`` is ``_count_marked_sets(2^n, r)`` and ``count`` the number of
+    sets to take, all of them when equal.  Over either limit it raises
+    ``ConfigurationError``.  It needs no state, so runs before one loads.
     """
-    rng = np.random.default_rng(seed)
-    if 2 * count > total:
-        return _all_marked_sets(num_states, r, total)[rng.choice(total, count, replace=False)]
-    sets = np.empty((count, r), dtype=np.intp)
-    seen: set[bytes] = set()
-    filled = 0
-    while filled < count:
-        pick = np.sort(rng.choice(num_states, size=r, replace=False))
-        key = pick.tobytes()
-        if key not in seen:
-            seen.add(key)
-            sets[filled] = pick
-            filled += 1
-    return sets
-
-
-def _select_marked_sets(
-    num_states: int, r: int, samples: int | None, seed: int
-) -> tuple[np.ndarray, bool]:
-    """The sweep's marked sets as a ``(sets, r)`` intp array, and whether all were taken."""
+    r = _as_index(r, "r")
+    tau = optimal_iterations(n, r)
+    if samples is not None:
+        samples = _as_index(samples, "samples")
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, got {samples}")
+    seed = _as_seed(seed)
+    num_states = 1 << n
     total = _count_marked_sets(num_states, r)
     if samples is None and total <= EXHAUSTIVE_LIMIT:
         count = total
@@ -228,23 +216,33 @@ def _select_marked_sets(
             f"indices, over the limit of MAX_SWEEP_INDICES = {MAX_SWEEP_INDICES}; "
             "request fewer sets or a smaller r"
         )
-    if count < total:
-        return _sample_marked_sets(num_states, r, total, count, seed), False
-    return _all_marked_sets(num_states, r, total), True
+    return r, tau, total, count, seed
 
 
-def _sweep_arguments(n: int, r, samples, seed) -> tuple[int, int, int | None, int]:
-    """``(r, tau, samples, seed)`` of a sweep on ``n`` qubits, checked.
+def _marked_sets(num_states: int, r: int, total: int, count: int, seed: int) -> np.ndarray:
+    """A planned sweep's marked sets, one a row of a ``(count, r)`` intp array.
 
-    Needs no state, so a caller can run it before loading one.
+    ``count == total`` (see ``_sweep_plan``) takes every set in order.  Above
+    half of C(N, r), where set-by-set draws turn into a coupon collector,
+    the sets are enumerated and one seeded draw picks ``count`` rows.
+    Below, each set is drawn, sorted and redrawn until new, keyed on its bytes.
     """
-    r = _as_index(r, "r")
-    tau = optimal_iterations(n, r)
-    if samples is not None:
-        samples = _as_index(samples, "samples")
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples}")
-    return r, tau, samples, _as_seed(seed)
+    if count == total:
+        return _all_marked_sets(num_states, r, total)
+    rng = np.random.default_rng(seed)
+    if 2 * count > total:
+        return _all_marked_sets(num_states, r, total)[rng.choice(total, count, replace=False)]
+    sets = np.empty((count, r), dtype=np.intp)
+    seen: set[bytes] = set()
+    filled = 0
+    while filled < count:
+        pick = np.sort(rng.choice(num_states, size=r, replace=False))
+        key = pick.tobytes()
+        if key not in seen:
+            seen.add(key)
+            sets[filled] = pick
+            filled += 1
+    return sets
 
 
 def sweep_marked_sets(
@@ -258,7 +256,7 @@ def sweep_marked_sets(
     distinct sets drawn from a PCG64 generator seeded with ``seed``.
     Sweeping more than ``EXHAUSTIVE_LIMIT`` sets, or more than
     ``MAX_SWEEP_INDICES`` marked indices (sets x r), is a
-    ``ConfigurationError``, raised before any set is built.
+    ``ConfigurationError`` that ``_sweep_plan`` raises before any set is built.
 
     The sets are simulated together, one block row per set, with
     ``run_grover_block``; each P(tau) equals that of a lone ``run_grover``
@@ -266,8 +264,8 @@ def sweep_marked_sets(
     N * |mean amplitude|^2, the closed form's leading term for r << N of
     the marked-set average (see ``averaged_success``; it is not exact).
     """
-    r, tau, samples, seed = _sweep_arguments(state.n, r, samples, seed)
-    marked, exhaustive = _select_marked_sets(state.dim, r, samples, seed)
+    r, tau, total, count, seed = _sweep_plan(state.n, r, samples, seed)
+    marked = _marked_sets(state.dim, r, total, count, seed)
 
     rows = max(1, _BLOCK_AMPLITUDES // state.dim)
     block = np.empty((min(rows, len(marked)), state.dim), dtype=np.complex128)
@@ -293,7 +291,7 @@ def sweep_marked_sets(
         r=r,
         tau=tau,
         num_sets=len(marked),
-        exhaustive=exhaustive,
+        exhaustive=count == total,
         seed=seed,
         mean_p=mean_p,
         std_error=std_error,

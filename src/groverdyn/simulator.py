@@ -128,6 +128,17 @@ class Trajectory:
                 fh.write(str(step.t) + "," + ",".join(format(c, ".17g") for c in cols) + "\n")
 
 
+def _evolve_arguments(n: int, t_max, record_full_states: bool) -> int:
+    """``evolve``'s checks: ``t_max``, and the snapshots of ``n`` qubits within their limit."""
+    t_max = _as_step_count(t_max)
+    if record_full_states and (t_max + 1) << n > MAX_SNAPSHOT_AMPLITUDES:
+        raise ValueError(
+            f"full snapshots of {t_max + 1} steps at n={n} exceed "
+            f"{MAX_SNAPSHOT_AMPLITUDES} amplitudes; record fewer steps or none"
+        )
+    return t_max
+
+
 def evolve(
     state: QuantumState,
     marked: MarkedSet,
@@ -143,13 +154,7 @@ def evolve(
     snapshot amplitudes in all, (t_max + 1) * 2^n, is a ``ValueError``,
     and so is a ``t_max`` above ``MAX_TRAJECTORY_STEPS``.
     """
-    t_max = _as_step_count(t_max)
-    if record_full_states and (t_max + 1) << state.n > MAX_SNAPSHOT_AMPLITUDES:
-        raise ValueError(
-            f"full snapshots of {t_max + 1} steps at n={state.n} exceed "
-            f"{MAX_SNAPSHOT_AMPLITUDES} amplitudes; record fewer steps or none"
-        )
-
+    t_max = _evolve_arguments(state.n, t_max, record_full_states)
     idx = marked.indices_array
     work = np.empty_like(state.amplitudes)
     steps = []

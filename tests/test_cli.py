@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import groverdyn.cli
 from groverdyn import MarkedSet, _kernels, build_state, evolve, load_state, save_state
 from groverdyn.cli import main
-from groverdyn.harness import _sample_marked_sets, write_json
+from groverdyn.harness import _marked_sets, write_json
 
 
 def test_state_make_ghz(tmp_path):
@@ -111,29 +111,48 @@ def test_steps_beyond_trajectory_limit_exit_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, expected, message",
     [
-        (["simulate", "--marked", "0", "--steps", "100001"], "t_max must be in"),
-        (["compare", "--marked", "0", "--steps", "100001"], "t_max must be in"),
-        (["compare", "--marked", "8", "--steps", "3"], "must lie in [0, 8)"),
-        (["classify", "--marked", "0,0"], "must be distinct"),
-        (["avg-success", "--r", "8"], "r must satisfy"),
-        (["avg-success", "--r", "1", "--samples", "0"], "samples must be >= 1"),
-        (["avg-success", "--r", "1", "--seed", "-1"], "seed must be a non-negative"),
+        (["simulate", "--marked", "0", "--steps", "100001"], 2, "t_max must be in"),
+        (["compare", "--marked", "0", "--steps", "100001"], 2, "t_max must be in"),
+        (["compare", "--marked", "8", "--steps", "3"], 2, "must lie in [0, 8)"),
+        (["classify", "--marked", "0,0"], 2, "must be distinct"),
+        (["avg-success", "--r", "8"], 2, "r must satisfy"),
+        (["avg-success", "--r", "1", "--samples", "0"], 2, "samples must be >= 1"),
+        (["avg-success", "--r", "1", "--seed", "-1"], 2, "seed must be a non-negative"),
+        (["avg-success", "--n", "12", "--r", "2", "--samples", "100001"], 3,
+         "exceeds the limit"),
+        (["avg-success", "--n", "22", "--r", "2097152"], 3, "MAX_SWEEP_INDICES"),
+        (["classify", "--marked", "0", "--tol", "-1"], 2, "tol must be positive and finite"),
+        (["classify", "--marked", "0", "--max-period", "100001"], 2,
+         "max_period must be in [0, 100000]"),
+        (["classify", "--marked", "0", "--max-period", "0"], 2, "max_period must be >= 1"),
+        (["groverian", "--restarts", "0"], 2, "restarts must be >= 1"),
+        (["groverian", "--seed", "-1"], 2, "seed must be a non-negative"),
+        (["groverian", "--n", "4", "--oracle-check"], 2, "supports n <= 3"),
+        (["simulate", "--n", "20", "--marked", "1", "--steps", "1000", "--full-snapshots"], 2,
+         "snapshots"),
     ],
     ids=["simulate-steps", "compare-steps", "compare-marked", "classify-marked",
-         "avg-success-r", "avg-success-samples", "avg-success-seed"],
+         "avg-success-r", "avg-success-samples", "avg-success-seed",
+         "avg-success-set-limit", "avg-success-index-limit", "classify-tol",
+         "classify-max-period", "classify-max-period-0", "groverian-restarts",
+         "groverian-seed", "groverian-oracle-check", "simulate-full-snapshots"],
 )
-def test_arguments_are_refused_before_the_state_is_loaded(tmp_path, capsys, argv, message):
+def test_arguments_are_refused_before_the_state_is_loaded(
+    tmp_path, capsys, argv, expected, message
+):
     # A state file can be large; nothing that can be checked without it
-    # waits for it to load.
+    # waits for it to load.  A case without its own --n runs on n = 3.
     stored = tmp_path / "eta.json"
     save_state(build_state("eta", 3), stored)
-    if argv[0] != "classify":
+    if argv[0] not in ("classify", "groverian"):
         argv = argv + ["--out", str(tmp_path / "out")]
+    if "--n" not in argv:
+        argv = argv + ["--n", "3"]
     with mock.patch.object(groverdyn.cli, "resolve_state", side_effect=AssertionError("loaded")):
-        code = main(argv + ["--state", str(stored), "--n", "3"])
-    assert code == 2
+        code = main(argv + ["--state", str(stored)])
+    assert code == expected
     assert message in capsys.readouterr().err
 
 
@@ -145,12 +164,17 @@ def test_arguments_are_refused_before_the_state_is_loaded(tmp_path, capsys, argv
         ["state", "make", "haar", "--n", "3"],
         ["state", "make", "zero_mean", "--n", "3"],
         ["groverian", "--state", "eta", "--n", "3", "--restarts", "2"],
+        ["state", "make", "eta", "--n", "3"],
+        ["state", "make", "ghz", "--n", "3"],
+        ["state", "make", "basis", "--n", "3", "--k", "2"],
     ],
-    ids=["avg-success-exhaustive", "avg-success-sampled", "haar", "zero_mean", "groverian"],
+    ids=["avg-success-exhaustive", "avg-success-sampled", "haar", "zero_mean", "groverian",
+         "eta", "ghz", "basis"],
 )
 def test_negative_seed_exits_2_naming_the_seed(tmp_path, capsys, argv):
-    # Exhaustive sweeps draw no random numbers, so only the input check can
-    # refuse the seed there; elsewhere it must be refused before numpy is.
+    # Exhaustive sweeps and the eta, GHZ and basis builders draw no random
+    # numbers, so only the input check can refuse the seed there; elsewhere
+    # it must be refused before numpy is.
     out = tmp_path / "out.json"
     if argv[0] != "groverian":
         argv = argv + ["--out", str(out)]
@@ -312,7 +336,7 @@ def test_avg_success_sampled_output_is_pinned(tmp_path):
     # The GHZ state lives on {0, 4095}; how many drawn sets hit it 0, 1 and
     # 2 times pins the sampler's choice exactly, apart from the kernel's
     # rounding, which moves mean_p in its last digits.
-    sets = _sample_marked_sets(4096, 2, 4096 * 4095 // 2, 2000, seed=11)
+    sets = _marked_sets(4096, 2, 4096 * 4095 // 2, 2000, seed=11)
     hits = [sum(i in (0, 4095) for i in s) for s in sets]
     assert [hits.count(k) for k in range(3)] == [1998, 2, 0]
     out = tmp_path / "avg.json"

@@ -24,8 +24,8 @@ from groverdyn import (
 from groverdyn import core, harness, optimal_iterations, simulator
 from groverdyn._kernels import run_grover
 from groverdyn.harness import (
-    _sample_marked_sets,
-    _select_marked_sets,
+    _marked_sets,
+    _sweep_plan,
     write_json,
     write_snapshots,
 )
@@ -107,9 +107,9 @@ def test_resolve_state_hints_for_parameterized_builders():
 def test_config_validation():
     with pytest.raises(ValueError):
         resolve_state("eta", 0)
-    # The sweep checks its arguments before any marked set is selected.
+    # The sweep plan checks its arguments before any marked set is built.
     eta = build_state("eta", 3)
-    with mock.patch.object(harness, "_select_marked_sets", side_effect=AssertionError("built")):
+    with mock.patch.object(harness, "_marked_sets", side_effect=AssertionError("built")):
         with pytest.raises(ValueError):
             sweep_marked_sets(eta, 8)
         with pytest.raises(ValueError):
@@ -199,8 +199,9 @@ def test_sampled_sweep_is_deterministic_and_consistent():
 def per_set_p_values(state, r, samples, seed):
     """P(tau) of each selected set from its own single-vector kernel run."""
     tau = optimal_iterations(state.n, r)
+    _, _, total, count, seed = _sweep_plan(state.n, r, samples, seed)
     p_values = []
-    for indices in _select_marked_sets(state.dim, r, samples, seed)[0]:
+    for indices in _marked_sets(state.dim, r, total, count, seed):
         idx = np.asarray(indices, dtype=np.intp)
         amps = state.amplitudes.copy()
         run_grover(amps, idx, tau)
@@ -240,7 +241,7 @@ def test_sweep_matches_per_set_loop_at_default_block_size(n, r, samples):
     assert summary.p_values == per_set_p_values(state, r, samples, 11)
 
 
-# _sample_marked_sets(64, 2, 2016, 100, seed=3) as drawn one set at a time; the
+# _marked_sets(64, 2, 2016, 100, seed=3) as drawn one set at a time; the
 # draws for counts up to half of C(N, r) must not change.
 _PINNED_SAMPLE = [
     (5, 51), (11, 14), (37, 54), (5, 21), (30, 39), (10, 44), (2, 7), (24, 56), (26, 27),
@@ -258,12 +259,12 @@ _PINNED_SAMPLE = [
 ]
 
 
-def test_sample_marked_sets_unique_and_seeded():
-    sets = _sample_marked_sets(64, 2, 2016, 100, seed=3)
+def test_marked_sets_sampled_unique_and_seeded():
+    sets = _marked_sets(64, 2, 2016, 100, seed=3)
     assert sets.dtype == np.intp and sets.shape == (100, 2)
     assert len(set(map(tuple, sets.tolist()))) == 100
     assert all(s[0] < s[1] for s in sets.tolist())
-    assert np.array_equal(sets, _sample_marked_sets(64, 2, 2016, 100, seed=3))
+    assert np.array_equal(sets, _marked_sets(64, 2, 2016, 100, seed=3))
     assert [tuple(s) for s in sets.tolist()] == _PINNED_SAMPLE
 
 
@@ -284,7 +285,7 @@ class _CountingRng:
 
 
 @pytest.mark.parametrize("num_states, r", [(64, 3), (16, 1), (10, 9)])
-def test_sample_marked_sets_above_half_takes_one_draw(num_states, r):
+def test_marked_sets_above_half_takes_one_draw(num_states, r):
     # One set short of all C(N, r): drawing set by set until each is new
     # would be a coupon collector (C(64, 3) = 41664 sets, about 430,000
     # draws).
@@ -297,14 +298,14 @@ def test_sample_marked_sets_above_half_takes_one_draw(num_states, r):
         return rngs[-1]
 
     with mock.patch.object(np.random, "default_rng", counting_rng):
-        sets = _sample_marked_sets(num_states, r, total, total - 1, seed=8)
+        sets = _marked_sets(num_states, r, total, total - 1, seed=8)
     assert [rng.draws for rng in rngs] == [1]
     assert sets.dtype == np.intp and sets.shape == (total - 1, r)
     assert len(set(map(tuple, sets.tolist()))) == total - 1
     assert all(
         s == sorted(s) and 0 <= s[0] and s[-1] < num_states for s in sets.tolist()
     )
-    assert np.array_equal(sets, _sample_marked_sets(num_states, r, total, total - 1, seed=8))
+    assert np.array_equal(sets, _marked_sets(num_states, r, total, total - 1, seed=8))
 
 
 def test_forced_exhaustive_beyond_limit_is_configuration_error():
@@ -324,7 +325,7 @@ def test_sample_count_beyond_limit_is_configuration_error():
 def test_sampled_sweep_beyond_limit_is_configuration_error():
     # The limit holds for sampled sweeps too, before any set is drawn.
     eta = build_state("eta", 12)
-    with mock.patch.object(harness, "_sample_marked_sets", side_effect=AssertionError("drew")):
+    with mock.patch.object(harness, "_marked_sets", side_effect=AssertionError("drew")):
         with pytest.raises(ConfigurationError, match="exceeds the limit"):
             sweep_marked_sets(eta, 2, samples=120_000, seed=1)
 
@@ -343,15 +344,18 @@ class _Enumerated(Exception):
 
 
 def test_sweep_index_limit_admits_n12_r4095():
-    # The selector passes the limits and starts the one enumeration; the
-    # stand-ins stop it there, before 128 MiB of indices are built.
+    # The plan passes the limits and the builder starts the one
+    # enumeration; the stand-ins stop it there, before 128 MiB of indices
+    # are built.
     assert 4096 * 4095 <= harness.MAX_SWEEP_INDICES < 8192 * 8191
+    r, tau, total, count, seed = _sweep_plan(12, 4095, None, 0)
+    assert (r, tau, total, count, seed) == (4095, optimal_iterations(12, 4095), 4096, 4096, 0)
     with mock.patch.object(harness, "combinations", side_effect=_Enumerated) as enumerate_sets:
         with pytest.raises(_Enumerated):
-            _select_marked_sets(4096, 4095, None, 0)
+            _marked_sets(4096, r, total, count, seed)
     enumerate_sets.assert_called_once_with(range(4096), 4095)
     with mock.patch.object(harness, "_all_marked_sets", return_value="every set") as every:
-        assert _select_marked_sets(4096, 4095, None, 0) == ("every set", True)
+        assert _marked_sets(4096, r, total, count, seed) == "every set"
     every.assert_called_once_with(4096, 4095, 4096)
 
 
@@ -361,11 +365,11 @@ def test_sweep_index_limit_admits_n12_r4095():
     [(None, "MAX_SWEEP_INDICES"), (10, "MAX_SWEEP_INDICES"), (100_001, "exceeds the limit")],
 )
 def test_half_register_sweep_is_refused_without_the_exact_count(n, samples, message):
-    # C(2^22, 2^21) alone took minutes to compute; the selector counts
-    # only as far as its limits need.
+    # C(2^22, 2^21) alone took minutes to compute; the plan counts only
+    # as far as its limits need.
     with mock.patch.object(harness.math, "comb", side_effect=AssertionError("exact count")):
         with pytest.raises(ConfigurationError, match=message):
-            _select_marked_sets(1 << n, 1 << (n - 1), samples, 1)
+            _sweep_plan(n, 1 << (n - 1), samples, 1)
 
 
 @pytest.mark.parametrize(
@@ -383,7 +387,7 @@ def test_count_marked_sets_is_exact_up_to_the_cap(num_states, r):
 def test_sampler_holds_little_beyond_its_sets():
     # r = N - 1 drawn one set at a time: each draw is sorted and stored as
     # one intp row, and only its bytes are kept to spot repeats.
-    peak, sets = traced_peak(lambda: _sample_marked_sets(1024, 1023, 1024, 200, seed=1))
+    peak, sets = traced_peak(lambda: _marked_sets(1024, 1023, 1024, 200, seed=1))
     assert sets.shape == (200, 1023)
     assert peak <= 2.5 * sets.nbytes, peak / sets.nbytes
 
@@ -395,8 +399,10 @@ def test_sampler_holds_little_beyond_its_sets():
         lambda seed: sweep_marked_sets(build_state("eta", 3), 1, seed=seed),
         lambda seed: build_state("haar", 3, seed=seed),
         lambda seed: build_state("zero_mean", 3, seed=seed),
+        lambda seed: build_state("eta", 3, seed=seed),
+        lambda seed: build_state("basis", 3, k=2, seed=seed),
     ],
-    ids=["config", "haar", "zero_mean"],
+    ids=["config", "haar", "zero_mean", "eta", "basis"],
 )
 def test_seed_must_be_a_non_negative_integer(build, seed, message):
     with pytest.raises(ValueError, match=f"seed must be {message}"):
