@@ -22,12 +22,21 @@ test "$code" -eq 3
 code=0
 groverdyn groverian --state s.json --n 16 --oracle-check || code=$?
 test "$code" -eq 2
+# So is a restart count over MAX_RESTARTS (10000).
+code=0
+groverdyn groverian --state s.json --n 16 --restarts 10001 || code=$?
+test "$code" -eq 2
 groverdyn avg-success --state eta --n 6 --r 2 --out avg-all.json
 groverdyn avg-success --state ghz --n 10 --r 2 --samples 500 --seed 7 --out avg-sampled.json
-# The sweep size the benchmark times: 4096 sets, 8 rows of 2^12 amplitudes a block.
+# The sweep size the benchmark times: all 4096 sets of r = 1, one block
+# of marked amplitudes.
 groverdyn avg-success --state eta --n 12 --r 1 --out avg-n12.json
 # Every marked set gives eta the same P(tau), so the sweep mean is the closed form's.
 python -c 'import json; from groverdyn import MarkedSet, analytic_success, build_state, compute_params; a = json.load(open("avg-n12.json")); p = analytic_success(compute_params(build_state("eta", 12), MarkedSet(4096, (0,))), a["tau"]); assert abs(a["mean_p"] - p) <= 1e-10, (a["mean_p"], p)'
+# A sweep steps only the marked amplitudes, so 2000 sets at n = 16 take
+# well under a second; the bound is far above that.
+timeout 30 groverdyn avg-success --state eta --n 16 --r 1 --samples 2000 --seed 0 --out avg-n16.json
+python -c 'import json; from groverdyn import MarkedSet, analytic_success, build_state, compute_params; a = json.load(open("avg-n16.json")); p = analytic_success(compute_params(build_state("eta", 16), MarkedSet(65536, (0,))), a["tau"]); assert abs(a["mean_p"] - p) <= 1e-10, (a["mean_p"], p)'
 # r = N - 1 at n = 11: the largest exhaustive sweep the limits admit at
 # n = 11, 2048 sets of 2047 indices.  tau = 0, so every set gives P = r/N.
 groverdyn avg-success --state eta --n 11 --r 2047 --out avg-rN-1.json

@@ -1,11 +1,12 @@
 """The Grover iteration kernels.
 
-``run_grover`` iterates one state vector; ``run_grover_block`` iterates a
-block of rows, each with its own marked set, and rounds exactly as
-``run_grover`` does on each row.  Both carry the register sum from step
-to step instead of reducing the register again: a call reduces each row
-once, when it starts, and a step then makes one read-modify-write pass
-over the amplitudes.  ``get_impl``, ``available_backends`` and
+``run_grover`` iterates one state vector.  It carries the register sum
+from step to step instead of reducing the register again: a call reduces
+the register once, when it starts, and a step then makes one
+read-modify-write pass over the amplitudes.  ``marked_success`` runs the
+same arithmetic for many marked sets at once on their marked amplitudes
+alone, the only entries a marked-set sweep reads, so a step costs O(r) a
+set instead of O(N).  ``get_impl``, ``available_backends`` and
 ``backend_name`` name the numpy implementation for callers that report or
 time the kernel.
 """
@@ -66,61 +67,25 @@ def run_grover(
     return complex(total)
 
 
-def run_grover_block(block: np.ndarray, marked: np.ndarray, steps: int) -> None:
-    """Apply ``steps`` Grover iterations to every row of ``block`` in place.
+def marked_success(amps: np.ndarray, marked: np.ndarray, steps: int) -> np.ndarray:
+    """P after ``steps`` Grover iterations from ``amps``, one per row of ``marked``.
 
-    Row b is searched with its own marked set ``marked[b]``.  The kernel
-    carries a ``(B, 1)`` column of row sums through the recurrence of
-    ``run_grover``, with the same operations in the same order, so every
-    row ends bit-identical to ``run_grover`` applied to that row alone.
-    The column and the gathered ``(B, r)`` cells live in buffers allocated
-    once per call.
-
-    Each row's doubled mean is subtracted from it as a scalar, one call per
-    row.  One broadcast subtract of the ``(B, 1)`` means would go through
-    numpy's buffered iterator, which copies rows shorter than its buffer
-    (8192 elements) and so costs about twice as much per amplitude.  The
-    call per row costs more than that below about 2^11 amplitudes a row.
-
-    Parameters
-    ----------
-    block : C-contiguous (B, N) complex128 array, modified in place
-    marked : (B, r) intp array; row b holds the marked indices of block
-        row b, each in [0, N)
-    steps : number of iterations to apply
+    Row b of the ``(B, r)`` intp array ``marked`` is a marked set.  A marked
+    amplitude x steps as x <- 2 * S' / N + x, with S' = S - 2 * S_M the
+    carried sum after the flip, so it reads only the marked amplitudes and
+    S.  The loop steps those ``(B, r)`` cells and a ``(B, 1)`` column of
+    sums, with ``run_grover``'s operations in its order (2 * S' / N - (-x)
+    is 2 * S' / N + x exactly): each row's P equals that of ``run_grover``
+    on the row's set, bit for bit.  ``amps`` is only read.
     """
-    if not block.flags.c_contiguous:
-        raise ValueError("block must be C-contiguous")
-    rows, num_states = block.shape
-    if marked.shape[0] != rows:
-        raise ValueError(f"marked has {marked.shape[0]} rows, block has {rows}")
-    # A flat index outside its row would land in a neighbouring row.
-    if marked.size and not (0 <= marked.min() and marked.max() < num_states):
-        raise IndexError(f"marked indices must lie in [0, {num_states})")
-    flat = block.reshape(-1)
-    cells = np.arange(rows, dtype=np.intp)[:, None] * num_states + marked
-    gathered = np.empty(cells.shape, dtype=block.dtype)
-    sums = np.add.reduce(block, axis=1, keepdims=True)
-    marked_sums, twice_marked, next_sums, twice_mean = np.empty((4, rows, 1), dtype=block.dtype)
-    scale = np.array(2.0 / num_states, dtype=block.dtype)
-    # Each (1,) view of ``twice_mean`` is subtracted from its row as a scalar.
-    row_means = list(zip(twice_mean, block))
+    cells = amps[marked]
+    sums = np.full((len(cells), 1), np.add.reduce(amps))
+    scale = np.complex128(2.0 / len(amps))
     for _ in range(steps):
-        # mode="wrap" skips take's buffered bounds check; the indices were
-        # checked above.
-        flat.take(cells, out=gathered, mode="wrap")
-        np.add.reduce(gathered, axis=1, keepdims=True, out=marked_sums)
-        np.add(marked_sums, marked_sums, out=twice_marked)
-        # A binary ufunc writing over one of its inputs pays for an overlap
-        # check that costs more than this subtract, so the new sums go to
-        # the other buffer.
-        np.subtract(sums, twice_marked, out=next_sums)
-        sums, next_sums = next_sums, sums
-        np.negative(gathered, out=gathered)
-        flat[cells] = gathered
-        np.multiply(sums, scale, out=twice_mean)
-        for mean_b, row_b in row_means:
-            np.subtract(mean_b, row_b, out=row_b)
+        marked_sums = np.add.reduce(cells, axis=1, keepdims=True)
+        sums = sums - (marked_sums + marked_sums)
+        cells = sums * scale + cells
+    return np.sum(np.abs(cells) ** 2, axis=1)
 
 
 def available_backends() -> tuple[str, ...]:

@@ -49,10 +49,12 @@ _COUNT_CAP = 2 * EXHAUSTIVE_LIMIT
 # one (sets, r) array the sweep builds.  n = 12, r = 4095 fits.
 MAX_SWEEP_INDICES = 1 << 24
 
-# A sweep simulates its marked sets in blocks of this many amplitudes
-# (512 KiB of complex128), one row per set.  Of 2^14, 2^15 and 2^16 it
-# was the fastest at n = 12 and tied with 2^16 at n = 10.
-_BLOCK_AMPLITUDES = 1 << 15
+# A sweep steps the marked amplitudes of its sets in blocks of this many
+# (512 KiB of complex128), _BLOCK_CELLS // r sets a block, so that its
+# working memory does not grow with the number of sets.  Budgets from
+# 2^12 to 2^18 timed within noise of each other on sweeps at n = 6-14,
+# r = 1-2047.
+_BLOCK_CELLS = 1 << 15
 
 STATE_BUILDERS = ("eta", "basis", "ghz", "w", "zero_mean", "haar", "k_uniform")
 # Builders usable directly as a --state name (no extra parameters).
@@ -258,26 +260,21 @@ def sweep_marked_sets(
     ``MAX_SWEEP_INDICES`` marked indices (sets x r), is a
     ``ConfigurationError`` that ``_sweep_plan`` raises before any set is built.
 
-    The sets are simulated together, one block row per set, with
-    ``run_grover_block``; each P(tau) equals that of a lone ``run_grover``
-    run on the set.  Reports the sample mean, its standard error, and
+    Each set's P(tau) comes from ``marked_success``, which steps only its
+    r marked amplitudes and the register sum, ``_BLOCK_CELLS // r`` sets
+    at a time; it equals that of a lone ``run_grover`` run on the set, bit
+    for bit.  Reports the sample mean, its standard error, and
     N * |mean amplitude|^2, the closed form's leading term for r << N of
     the marked-set average (see ``averaged_success``; it is not exact).
     """
     r, tau, total, count, seed = _sweep_plan(state.n, r, samples, seed)
     marked = _marked_sets(state.dim, r, total, count, seed)
 
-    rows = max(1, _BLOCK_AMPLITUDES // state.dim)
-    block = np.empty((min(rows, len(marked)), state.dim), dtype=np.complex128)
+    rows = max(1, _BLOCK_CELLS // r)
     p_values = np.empty(len(marked))
     for start in range(0, len(marked), rows):
-        idx = marked[start:start + rows]
-        # Leading rows of a C-contiguous array stay C-contiguous.
-        part = block[: len(idx)]
-        part[...] = state.amplitudes
-        _kernels.run_grover_block(part, idx, tau)
-        p_values[start:start + len(idx)] = np.sum(
-            np.abs(np.take_along_axis(part, idx, axis=1)) ** 2, axis=1
+        p_values[start:start + rows] = _kernels.marked_success(
+            state.amplitudes, marked[start:start + rows], tau
         )
 
     mean_p = float(np.mean(p_values))

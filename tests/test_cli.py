@@ -128,6 +128,7 @@ def test_steps_beyond_trajectory_limit_exit_2(tmp_path, capsys, command):
          "max_period must be in [0, 100000]"),
         (["classify", "--marked", "0", "--max-period", "0"], 2, "max_period must be >= 1"),
         (["groverian", "--restarts", "0"], 2, "restarts must be >= 1"),
+        (["groverian", "--restarts", "10001"], 2, "at most MAX_RESTARTS = 10000"),
         (["groverian", "--seed", "-1"], 2, "seed must be a non-negative"),
         (["groverian", "--n", "4", "--oracle-check"], 2, "supports n <= 3"),
         (["simulate", "--n", "20", "--marked", "1", "--steps", "1000", "--full-snapshots"], 2,
@@ -137,6 +138,7 @@ def test_steps_beyond_trajectory_limit_exit_2(tmp_path, capsys, command):
          "avg-success-r", "avg-success-samples", "avg-success-seed",
          "avg-success-set-limit", "avg-success-index-limit", "classify-tol",
          "classify-max-period", "classify-max-period-0", "groverian-restarts",
+         "groverian-restarts-limit",
          "groverian-seed", "groverian-oracle-check", "simulate-full-snapshots"],
 )
 def test_arguments_are_refused_before_the_state_is_loaded(

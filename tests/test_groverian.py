@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from groverdyn import (
     optimize_product,
     product_overlap,
 )
+from groverdyn import groverian
 from groverdyn.groverian import _ascend
 from helpers import local_unitary_invariance_check, random_state
 
@@ -111,6 +113,15 @@ def test_optimizer_ghz3():
 def test_groverian_rejects_bad_counts(call, message):
     with pytest.raises(ValueError, match=message):
         call(build_state("ghz", 3))
+
+
+def test_restarts_over_the_limit_are_refused_before_any_ascent():
+    state = build_state("ghz", 3)
+    with mock.patch.object(groverian, "MAX_RESTARTS", 4):
+        assert optimize_product(state, restarts=4).restarts_used == 5
+        with mock.patch.object(groverian, "_ascend", side_effect=AssertionError("ascended")):
+            with pytest.raises(ValueError, match="restarts must be at most MAX_RESTARTS = 4"):
+                optimize_product(state, restarts=5)
 
 
 def test_optimizer_w3_matches_oracle():

@@ -224,18 +224,19 @@ def test_sweep_matches_per_set_loop(n, r, seed, samples, rows):
     if samples is None and math.comb(1 << n, r) > 2000:
         samples = 60
     state = build_state("haar", n, seed=seed)
-    with mock.patch.object(harness, "_BLOCK_AMPLITUDES", rows << n):
+    with mock.patch.object(harness, "_BLOCK_CELLS", rows * r):
         summary = sweep_marked_sets(state, r, samples, seed)
     assert summary.p_values == per_set_p_values(state, r, samples, seed)
 
 
 @pytest.mark.parametrize(
-    "n, r, samples", [(10, 1, 100), (11, 1, 40), (12, 2, 20), (3, 2, None)]
+    "n, r, samples",
+    [(10, 1, 100), (11, 1, 40), (12, 2, 20), (3, 2, None), (12, 2047, 40)],
 )
 def test_sweep_matches_per_set_loop_at_default_block_size(n, r, samples):
-    # 100 rows at n = 10 (32 a block), 40 at n = 11 (16 a block) and 20 at
-    # n = 12 (8 a block) leave a partial last block; n = 3 fits all 28 sets
-    # in one partial block.
+    # A block holds 2^15 marked cells, 2^15 // r sets.  The first four
+    # sweeps fit in one partial block (32768 sets a block at r = 1, 16384
+    # at r = 2); 40 sets of r = 2047 take blocks of 16, 16 and a partial 8.
     state = build_state("haar", n, seed=11)
     summary = sweep_marked_sets(state, r, samples, 11)
     assert summary.p_values == per_set_p_values(state, r, samples, 11)
@@ -417,6 +418,15 @@ def test_exhaustive_sweep_holds_its_sets_once():
     assert peak <= 1.25 * indices_bytes, peak / indices_bytes
     assert summary.exhaustive and summary.num_sets == 2048
     assert abs(summary.mean_p - 2047 / 2048) <= 1e-12
+
+
+def test_sweep_holds_no_register_copy():
+    # A sweep steps only the marked amplitudes: 200 sets of r = 1 at
+    # n = 16 hold far less than the 1 MiB register they are drawn from.
+    state = build_state("haar", 16, seed=3)
+    peak, summary = traced_peak(lambda: sweep_marked_sets(state, 1, samples=200))
+    assert summary.num_sets == 200
+    assert peak < state.amplitudes.nbytes / 8, peak
 
 
 def test_sample_count_capped_at_population():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groverdyn import MarkedSet, QuantumState
@@ -8,8 +8,8 @@ from groverdyn._kernels import (
     available_backends,
     backend_name,
     get_impl,
+    marked_success,
     run_grover,
-    run_grover_block,
 )
 from helpers import apply_diffusion, apply_oracle
 
@@ -43,66 +43,35 @@ def test_kernel_matches_oracle_then_diffusion(n, r, steps):
     assert np.max(np.abs(amps - reference.amplitudes)) < 1e-13
 
 
-@pytest.mark.parametrize(
-    "n, r, steps, rows",
-    [
-        (1, 1, 3, 1),
-        (4, 1, 7, 1),
-        (6, 2, 20, 5),
-        (8, 5, 50, 3),
-        (10, 8, 30, 4),
-        (7, 9, 12, 16),
-        # Full blocks of the sweep's default size (32 rows at n = 10, 8 at
-        # n = 12), one row and a partial last block.
-        (10, 3, 25, 32),
-        (12, 1, 25, 1),
-        (12, 2, 25, 8),
-        (12, 4, 25, 3),
-        # numpy sums more than 8 elements pairwise: the marked sums of
-        # these rows take that path.
-        (10, 12, 30, 4),
-        (12, 17, 25, 8),
-    ],
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    r=st.integers(1, 40),
+    steps=st.integers(0, 300),
+    rows=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_block_kernel_matches_single_vector_kernel(n, r, steps, rows):
-    amps, _ = random_problem(n, r, seed=n)
-    rng = np.random.default_rng(n + r)
+# numpy sums more than 8 elements pairwise: the marked sums of these rows
+# take that path.
+@example(n=10, r=12, steps=30, rows=4, seed=10)
+@example(n=12, r=17, steps=25, rows=8, seed=12)
+def test_marked_success_matches_single_vector_kernel(n, r, steps, rows, seed):
+    r = min(r, (1 << n) - 1)
+    amps, _ = random_problem(n, r, seed)
+    rng = np.random.default_rng(seed + 1)
     marked = np.array(
         [np.sort(rng.choice(1 << n, size=r, replace=False)) for _ in range(rows)],
         dtype=np.intp,
     )
-    # The block is the leading rows of a longer buffer, as a sweep's last
-    # block is; the row past it must stay untouched.
-    buffer = np.broadcast_to(amps, (rows + 1, 1 << n)).copy()
-    block = buffer[:rows]
-    run_grover_block(block, marked, steps)
-    for row, indices in zip(block, marked):
-        reference = amps.copy()
+    initial = amps.copy()
+    p_values = marked_success(amps, marked, steps)
+    assert np.array_equal(amps, initial)
+    assert p_values.shape == (rows,)
+    for p, indices in zip(p_values, marked):
+        reference = initial.copy()
         run_grover(reference, indices, steps)
-        assert np.max(np.abs(row - reference)) < 1e-13
-        # Same operations in the same order: the rows are bit-identical.
-        assert np.array_equal(row, reference)
-    assert np.array_equal(buffer[rows], amps)
-
-
-@pytest.mark.parametrize("bad", [-1, 16])
-def test_block_kernel_rejects_index_outside_its_row(bad):
-    block = np.full((2, 16), 0.25, dtype=np.complex128)
-    with pytest.raises(IndexError, match="marked indices"):
-        run_grover_block(block, np.array([[3], [bad]], dtype=np.intp), 1)
-    assert np.all(block == 0.25)
-
-
-@pytest.mark.parametrize(
-    "block, marked, message",
-    [
-        (np.full((16, 2), 0.25, dtype=np.complex128).T, np.zeros((2, 1), np.intp), "C-contiguous"),
-        (np.full((2, 16), 0.25, dtype=np.complex128), np.zeros((1, 1), np.intp), "1 rows"),
-    ],
-)
-def test_block_kernel_rejects_malformed_block(block, marked, message):
-    with pytest.raises(ValueError, match=message):
-        run_grover_block(block, marked, 1)
+        # Same operations in the same order: the P values are bit-identical.
+        assert p == np.sum(np.abs(reference[indices]) ** 2)
 
 
 @settings(max_examples=60, deadline=None)
