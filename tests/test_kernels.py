@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groverdyn import MarkedSet, QuantumState
@@ -43,6 +43,47 @@ def test_kernel_matches_oracle_then_diffusion(n, r, steps):
     assert np.max(np.abs(amps - reference.amplitudes)) < 1e-13
 
 
+def check_marked_success(amps, marked, steps):
+    initial = amps.copy()
+    p_values = marked_success(amps, marked, steps)
+    assert np.array_equal(amps, initial)
+    assert p_values.shape == (len(marked),)
+    for p, indices in zip(p_values, marked):
+        reference = initial.copy()
+        run_grover(reference, indices, steps)
+        # Same operations in the same order: the P values are bit-identical.
+        assert p == np.sum(np.abs(reference[indices]) ** 2)
+
+
+@pytest.mark.parametrize(
+    "n, r, steps, rows",
+    [
+        (1, 1, 3, 1),
+        (4, 1, 7, 1),
+        (6, 2, 20, 5),
+        (8, 5, 50, 3),
+        (10, 8, 30, 4),
+        (7, 9, 12, 16),
+        (10, 3, 25, 32),
+        (12, 1, 25, 1),
+        (12, 2, 25, 8),
+        (12, 4, 25, 3),
+        # numpy sums more than 8 elements pairwise: the marked sums of
+        # these rows take that path.
+        (10, 12, 30, 4),
+        (12, 17, 25, 8),
+    ],
+)
+def test_block_kernel_matches_single_vector_kernel(n, r, steps, rows):
+    amps, _ = random_problem(n, r, seed=n)
+    rng = np.random.default_rng(n + r)
+    marked = np.array(
+        [np.sort(rng.choice(1 << n, size=r, replace=False)) for _ in range(rows)],
+        dtype=np.intp,
+    )
+    check_marked_success(amps, marked, steps)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 12),
@@ -51,10 +92,6 @@ def test_kernel_matches_oracle_then_diffusion(n, r, steps):
     rows=st.integers(1, 16),
     seed=st.integers(0, 2**32 - 1),
 )
-# numpy sums more than 8 elements pairwise: the marked sums of these rows
-# take that path.
-@example(n=10, r=12, steps=30, rows=4, seed=10)
-@example(n=12, r=17, steps=25, rows=8, seed=12)
 def test_marked_success_matches_single_vector_kernel(n, r, steps, rows, seed):
     r = min(r, (1 << n) - 1)
     amps, _ = random_problem(n, r, seed)
@@ -63,15 +100,7 @@ def test_marked_success_matches_single_vector_kernel(n, r, steps, rows, seed):
         [np.sort(rng.choice(1 << n, size=r, replace=False)) for _ in range(rows)],
         dtype=np.intp,
     )
-    initial = amps.copy()
-    p_values = marked_success(amps, marked, steps)
-    assert np.array_equal(amps, initial)
-    assert p_values.shape == (rows,)
-    for p, indices in zip(p_values, marked):
-        reference = initial.copy()
-        run_grover(reference, indices, steps)
-        # Same operations in the same order: the P values are bit-identical.
-        assert p == np.sum(np.abs(reference[indices]) ** 2)
+    check_marked_success(amps, marked, steps)
 
 
 @settings(max_examples=60, deadline=None)
