@@ -13,6 +13,11 @@ groverdyn compare --state s.json --n 16 --marked 3,77,40000 --steps 20 --out cmp
 python -c 'import json; e = json.load(open("cmp.json"))["max_abs_err"]; assert e <= 1e-10, e'
 # The simulated P at the last step matches the closed form within the same bound.
 python -c 'import csv; from groverdyn import MarkedSet, analytic_success, compute_params, load_state; last = list(csv.DictReader(open("traj.csv")))[-1]; p = analytic_success(compute_params(load_state("s.json"), MarkedSet(1 << 16, (3, 77, 40000))), int(last["t"])); e = abs(float(last["p_marked"]) - p); assert e <= 1e-10, e'
+# The snapshot side file lays out each amplitude list as a state file does:
+# its first snapshot is the text save_state writes for the loaded state.
+# 3 x 2^16 amplitudes, within the 2^22 snapshot limit.
+groverdyn simulate --state s.json --n 16 --marked 3,77,40000 --steps 2 --full-snapshots --out snap.csv
+python -c 'from groverdyn import load_state, save_state; save_state(load_state("s.json"), "s-again.json"); t = open("s-again.json").read(); side = open("snap.csv.states.json").read(); assert side.startswith("{\"n\": 16, \"states\": [" + t[t.index("[["):-len("}\n")] + ", [["), side[:80]'
 # Flags over a limit are refused before the state file loads: a sweep of
 # 100001 sets is a configuration error (exit code 3), and the grid oracle
 # at n > 3 is invalid input (exit code 2).

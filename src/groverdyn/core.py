@@ -253,41 +253,32 @@ def _amplitude_pairs(amps: np.ndarray) -> list[list[float]]:
 _SAVE_CHUNK = 1 << 14
 
 
-# What json.dumps puts between two [re, im] pairs, and between the real and
-# the imaginary part of one.
-_PAIR_SEP = "], ["
-_RE_IM_SEP = ", "
+def _write_pairs(fh, amps: np.ndarray) -> None:
+    """Write ``amps`` as ``json.dumps`` writes its [[re, im], ...] list.
 
-
-def _write_pairs(fh, amps: np.ndarray, pair_sep=_PAIR_SEP, re_im_sep=_RE_IM_SEP) -> None:
-    """Write the [re, im] pairs of ``amps``, less the first and last bracket.
-
-    ``pair_sep`` goes between two pairs and ``re_im_sep`` between the parts
-    of one.  Each chunk of ``_SAVE_CHUNK`` amplitudes is encoded by
-    ``json.dumps``, which runs the C encoder (``json.dump``, and any
-    encoder with an indent, never does).
+    This is the one layout of an amplitude list, in state files and in
+    the ``simulate --full-snapshots`` side file alike.  Each chunk of
+    ``_SAVE_CHUNK`` amplitudes is encoded by ``json.dumps``, which runs
+    the C encoder (``json.dump`` never does), and the chunks are joined
+    as one list.
     """
+    fh.write("[")
     for start in range(0, amps.size, _SAVE_CHUNK):
-        if start:
-            fh.write(pair_sep)
-        text = json.dumps(_amplitude_pairs(amps[start:start + _SAVE_CHUNK]))[2:-2]
-        if pair_sep != _PAIR_SEP:
-            text = text.replace(_PAIR_SEP, pair_sep)
-        if re_im_sep != _RE_IM_SEP:
-            text = text.replace(_RE_IM_SEP, re_im_sep)
-        fh.write(text)
+        fh.write(", " if start else "")
+        fh.write(json.dumps(_amplitude_pairs(amps[start:start + _SAVE_CHUNK]))[1:-1])
+    fh.write("]")
 
 
 def save_state(state: QuantumState, path) -> None:
     """Write a state to JSON as {"n": n, "amplitudes": [[re, im], ...]}.
 
     The bytes are those of ``json.dumps({"n": ..., "amplitudes": ...})``
-    plus a newline; ``_write_pairs`` encodes the pairs.
+    plus a newline; ``_write_pairs`` writes the amplitude list.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"n": {json.dumps(state.n)}, "amplitudes": [[')
+        fh.write(f'{{"n": {json.dumps(state.n)}, "amplitudes": ')
         _write_pairs(fh, state.amplitudes)
-        fh.write("]]}\n")
+        fh.write("}\n")
 
 
 def _amplitudes_from_pairs(pairs) -> np.ndarray:

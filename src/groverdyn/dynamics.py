@@ -60,7 +60,7 @@ def _rational_omega(omega: float, q_max: int) -> tuple[int, int] | None:
 
 
 def _as_tolerance(tol) -> float:
-    """``classify``'s check of ``tol``: positive and finite."""
+    """``classify``'s and ``detect_cycle``'s check of ``tol``: positive and finite."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     return tol
@@ -145,11 +145,13 @@ def detect_cycle(
     is the phase-insensitive fidelity |<phi|U_G^k|phi>|^2 >= 1 - tol;
     that can halve the reported period when an iterate is a global sign
     flip of the initial state.  ``max_period`` is at most
-    ``MAX_TRAJECTORY_STEPS``, the bound on every trajectory.
+    ``MAX_TRAJECTORY_STEPS``, the bound on every trajectory, and ``tol``
+    is positive and finite, as in ``classify``.
     """
     max_period = _as_max_period(max_period)
+    tol = _as_tolerance(tol)
     initial = state.amplitudes
-    registers = _registers(state, marked, max_period, "max_period")
+    registers = _registers(state, marked, max_period)
     next(registers)  # t = 0, the initial state; checks the arguments
     for k, amps in enumerate(registers, start=1):
         overlap = complex(np.vdot(initial, amps))

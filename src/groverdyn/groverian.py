@@ -48,7 +48,8 @@ class ProductState:
         if q.ndim != 2 or q.shape[1] != 2 or q.shape[0] < 1:
             raise ValueError(f"expected an (n, 2) array of qubit factors, got {q.shape}")
         norms = np.sum(np.abs(q) ** 2, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
+        # Written so that a NaN norm fails too.
+        if not np.max(np.abs(norms - 1.0)) <= 1e-12:
             raise ValueError("every qubit factor must be unit norm")
         q = q.copy()
         q.flags.writeable = False
@@ -255,7 +256,8 @@ def apply_local_unitaries(state: QuantumState, unitaries) -> QuantumState:
     for k, u in enumerate(mats):
         if u.shape != (2, 2):
             raise ValueError(f"unitary {k} has shape {u.shape}, expected (2, 2)")
-        if np.max(np.abs(np.conj(u.T) @ u - eye)) > _UNITARY_ATOL:
+        # Written so that a NaN entry fails too.
+        if not np.max(np.abs(np.conj(u.T) @ u - eye)) <= _UNITARY_ATOL:
             raise ValueError(f"matrix {k} is not unitary within {_UNITARY_ATOL}")
     t = state.amplitudes.reshape((2,) * state.n)
     for k, u in enumerate(mats):

@@ -77,6 +77,8 @@ def build_state(name: str, n: int, k: int | None = None, seed: int | None = None
     k_uniform  first k amplitudes equal to 1/sqrt(k)
     """
     n = _as_qubit_count(n)
+    if k is not None:
+        k = _as_index(k, "k")
     if seed is not None:
         seed = _as_seed(seed)
     num_states = 1 << n
@@ -367,25 +369,17 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-# What ``write_json`` puts between two [re, im] pairs of one snapshot, and
-# between the parts of one pair, in {"n": ..., "states": [[[re, im], ...]]}.
-_SNAPSHOT_PAIR_SEP = "\n      ],\n      [\n        "
-_SNAPSHOT_RE_IM_SEP = ",\n        "
-
-
 def write_snapshots(path, trajectory: Trajectory) -> None:
     """Write the full snapshots of ``trajectory`` as {"n": n, "states": [...]}.
 
-    The bytes are those of ``write_json`` on that dict, whose indent makes
-    ``json.dump`` run the pure-Python encoder; ``_write_pairs`` encodes the
-    pairs with the C encoder and lays them out in the same lines.
+    The bytes are those of ``json.dumps`` on that dict plus a newline: each
+    snapshot is laid out as a state file's amplitude list, by ``_write_pairs``.
     """
     if trajectory.steps[0].state is None:
         raise ValueError("the trajectory holds no snapshots; evolve with record_full_states")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{\n  "n": {json.dumps(trajectory.n)},\n  "states": [')
+        fh.write(f'{{"n": {json.dumps(trajectory.n)}, "states": [')
         for i, step in enumerate(trajectory.steps):
-            fh.write(("," if i else "") + "\n    [\n      [\n        ")
-            _write_pairs(fh, step.state.amplitudes, _SNAPSHOT_PAIR_SEP, _SNAPSHOT_RE_IM_SEP)
-            fh.write("\n      ]\n    ]")
-        fh.write("\n  ]\n}\n")
+            fh.write(", " if i else "")
+            _write_pairs(fh, step.state.amplitudes)
+        fh.write("]}\n")

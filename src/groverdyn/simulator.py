@@ -42,7 +42,7 @@ def _as_step_count(t_max, what: str = "t_max") -> int:
     return t_max
 
 
-def _registers(state: QuantumState, marked: MarkedSet, t_max, what: str = "t_max"):
+def _registers(state: QuantumState, marked: MarkedSet, t_max):
     """Yield the register after t = 0, 1, ..., t_max Grover iterations.
 
     The one stepping loop behind ``evolve``, ``compare_run`` and
@@ -54,7 +54,7 @@ def _registers(state: QuantumState, marked: MarkedSet, t_max, what: str = "t_max
     one returned, so the register rounds as in one ``t_max``-step call.
     """
     _check_compatible(state, marked)
-    t_max = _as_step_count(t_max, what)
+    t_max = _as_step_count(t_max)
     amps = state.amplitudes.copy()
     idx = marked.indices_array
     total = None

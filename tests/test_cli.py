@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import groverdyn.cli
 from groverdyn import MarkedSet, _kernels, build_state, evolve, load_state, save_state
 from groverdyn.cli import main
-from groverdyn.harness import _marked_sets, write_json
+from groverdyn.harness import _marked_sets
 
 
 def test_state_make_ghz(tmp_path):
@@ -72,15 +72,14 @@ def test_simulate_full_snapshots_writes_the_reference_bytes(tmp_path):
         "--steps", "6", "--full-snapshots", "--out", str(out),
     ]) == 0
     trajectory = evolve(load_state(spec), MarkedSet(16, (2, 11)), 6, record_full_states=True)
-    reference = tmp_path / "reference.json"
-    write_json(reference, {
+    reference = json.dumps({
         "n": 4,
         "states": [
             [[float(a.real), float(a.imag)] for a in step.state.amplitudes]
             for step in trajectory.steps
         ],
-    })
-    assert (tmp_path / "traj.csv.states.json").read_bytes() == reference.read_bytes()
+    }) + "\n"
+    assert (tmp_path / "traj.csv.states.json").read_text() == reference
 
 
 def test_simulate_full_snapshots_beyond_limit_exits_2(tmp_path, capsys):

@@ -188,6 +188,17 @@ def test_classify_rejects_bad_tol():
             classify(fixed_point, marked, tol=tol)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_detect_cycle_rejects_bad_tol(tol):
+    # eta at n = 4 with 4 marked states has period 6.  Unchecked, a NaN or
+    # negative tol reports no cycle and an infinite one reports period 1.
+    marked = MarkedSet(16, (0, 1, 2, 3))
+    eta = build_state("eta", 4)
+    assert detect_cycle(eta, marked, 12) == 6
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        detect_cycle(eta, marked, 12, tol=tol)
+
+
 def test_detect_cycle_rejects_non_integer_max_period():
     with pytest.raises(ValueError, match="max_period must be an integer"):
         detect_cycle(build_state("eta", 3), MarkedSet(8, (1,)), 2.5)

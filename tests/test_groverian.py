@@ -37,6 +37,10 @@ def test_product_state_validation():
         ProductState(np.array([[1.0, 1.0]], dtype=complex))
     with pytest.raises(ValueError):
         ProductState(np.ones((2, 3), dtype=complex))
+    # NaN fails every comparison: unchecked, product_overlap returns nan.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="unit norm"):
+            ProductState(np.array([[bad, 0.0]], dtype=complex))
 
 
 def test_product_state_expansion_msb_first():
@@ -244,6 +248,13 @@ def test_local_unitary_rejects_non_unitary():
         apply_local_unitaries(
             build_state("eta", 2), [np.eye(2), np.array([[1, 0], [0, 2.0]])]
         )
+    # One NaN or inf entry makes U^dagger U - I NaN, which fails every
+    # comparison: unchecked, the result is an all-NaN state.
+    for bad in (math.nan, math.inf):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not unitary"):
+            apply_local_unitaries(
+                build_state("eta", 2), [np.eye(2), np.array([[1, 0], [0, bad]])]
+            )
 
 
 def test_measure_invariant_under_qubit_relabeling():

@@ -86,6 +86,11 @@ def test_build_state_errors():
         build_state("k_uniform", 3, k=0)
     with pytest.raises(ValueError, match="basis"):
         build_state("basis", 3, k=8)
+    # A fractional k is refused by name, not as an IndexError or TypeError
+    # from the indexing it reaches.
+    for name in ("basis", "k_uniform"):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            build_state(name, 3, k=2.5)
     with pytest.raises(ValueError):
         build_state("eta", 25)
 
@@ -501,16 +506,16 @@ def test_compare_run_computes_moments_once():
 
 def _snapshot_bytes_both_ways(trajectory):
     with tempfile.TemporaryDirectory() as tmp:
-        chunked, reference = Path(tmp, "chunked.json"), Path(tmp, "reference.json")
+        chunked = Path(tmp, "chunked.json")
         write_snapshots(chunked, trajectory)
-        write_json(reference, {
+        reference = json.dumps({
             "n": trajectory.n,
             "states": [
                 [[float(a.real), float(a.imag)] for a in step.state.amplitudes]
                 for step in trajectory.steps
             ],
-        })
-        return chunked.read_bytes(), reference.read_bytes()
+        }) + "\n"
+        return chunked.read_bytes(), reference.encode()
 
 
 @settings(max_examples=60, deadline=None)
@@ -521,7 +526,7 @@ def _snapshot_bytes_both_ways(trajectory):
     signed_zeros=st.booleans(),
     data=st.data(),
 )
-def test_write_snapshots_matches_write_json(n, steps, seed, signed_zeros, data):
+def test_write_snapshots_matches_json_dumps(n, steps, seed, signed_zeros, data):
     # A chunk of 1 to 2^n + 1 amplitudes: most snapshots span several.
     chunk = data.draw(st.integers(1, (1 << n) + 1), label="chunk")
     rng = np.random.default_rng(seed)
@@ -536,7 +541,7 @@ def test_write_snapshots_matches_write_json(n, steps, seed, signed_zeros, data):
     assert chunked == reference
 
 
-def test_write_snapshots_matches_write_json_at_default_chunk():
+def test_write_snapshots_matches_json_dumps_at_default_chunk():
     # 2^15 amplitudes per snapshot: two chunks of the default size each.
     state = random_state(15, np.random.default_rng(3))
     trajectory = evolve(state, MarkedSet(1 << 15, (9, 30000)), 1, record_full_states=True)
