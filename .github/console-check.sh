@@ -69,10 +69,19 @@ test "$code" -eq 2
 code=0
 groverdyn simulate --state eta --n 1 --marked 0 --steps 100001 --out over.csv || code=$?
 test "$code" -eq 2
-# A cycle search of 100001 steps exceeds the same limit: exit code 2.
+# A cycle search of 100001 steps is out of --max-period's range: exit code 2.
 code=0
 groverdyn classify --state eta --n 4 --marked 1 --max-period 100001 || code=$?
 test "$code" -eq 2
+# No exact cycle is longer than 6 steps (Niven's theorem), so near-returns
+# of a state that never returns are not reported: this one passed the
+# overlap check at k = 82.
+groverdyn state make zero_mean --n 9 --seed 3 --out zm9.json
+groverdyn classify --state zm9.json --n 9 --marked 65,400,436 --max-period 100 > zm9-classify.json
+python -c 'import json; d = json.load(open("zm9-classify.json")); assert d["kind"] == "Generic" and d["detected_period"] is None, d'
+# And a search allowed 100000 steps stops after 6, at n = 16 too.
+timeout 10 groverdyn classify --state s.json --n 16 --marked 3,77,40000 --max-period 100000 > s-classify.json
+python -c 'import json; d = json.load(open("s-classify.json")); assert d["detected_period"] is None, d'
 # A state file nested 100,000 lists deep is malformed: invalid input, exit code 2.
 python -c 'open("deep.json", "w").write("[" * 100000 + "]" * 100000)'
 code=0

@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--marked", required=True)
     cls.add_argument("--tol", type=float, default=1e-9)
     cls.add_argument("--max-period", type=int, default=None,
-                     help="also search for an exact cycle up to this period")
+                     help="also search for an exact cycle up to this period; none exceeds 6")
 
     grov = sub.add_parser("groverian", help="Groverian entanglement of a state")
     grov.add_argument("--state", required=True)

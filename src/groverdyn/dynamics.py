@@ -12,18 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
 from .analytic import compute_params
-from .core import MarkedSet, QuantumState, _as_index
-from .simulator import _as_step_count, _registers
+from .core import MarkedSet, QuantumState, _as_index, _as_qubit_count
+from .simulator import MAX_TRAJECTORY_STEPS, _registers
 
-# Acceptance window for treating omega/pi as the rational it rounds to,
-# and the largest denominator tried by the continued-fraction expansion.
-_RATIONAL_ATOL = 1e-12
-_Q_MAX = 64
+# Niven's theorem: cos(omega) = 1 - 2r/N is rational, so omega/pi is rational
+# only at 4r/N = 1, 2, 3, and every exact cycle has period 1, 2, 3, 4 or 6.
+_LONGEST_PERIOD = 6
 
 
 class StateKind(Enum):
@@ -52,11 +50,10 @@ class StateClass:
             assert self.period is not None and self.period >= 3
 
 
-def _rational_omega(omega: float, q_max: int) -> tuple[int, int] | None:
-    frac = Fraction(omega / math.pi).limit_denominator(q_max)
-    if abs(omega / math.pi - float(frac)) < _RATIONAL_ATOL and 0 < frac < 1:
-        return frac.numerator, frac.denominator
-    return None
+def _rational_pq(num_states: int, r: int) -> tuple[int, int] | None:
+    """omega/pi as (p, q) when it is rational, read from the integers N and r."""
+    quarters, rest = divmod(4 * r, num_states)
+    return None if rest else {1: (1, 3), 2: (1, 2), 3: (2, 3)}[quarters]
 
 
 def _as_tolerance(tol) -> float:
@@ -85,7 +82,12 @@ def classify(state: QuantumState, marked: MarkedSet, tol: float = 1e-9) -> State
     magnitudes[idx] = 0.0
     max_unmarked_abs = float(np.max(magnitudes))
     constp_residual = params.constp_residual
-    rational = _rational_omega(params.omega, _Q_MAX)
+    rational = _rational_pq(marked.num_states, marked.r)
+    # At omega = p*pi/q the means return after 2q/gcd(p, 2) steps; unmarked
+    # deviations alternate sign, forcing an even period when any are present.
+    period = None if rational is None else 2 * rational[1] // math.gcd(rational[0], 2)
+    if period is not None and period % 2 == 1 and params.sigma_u0 > tol:
+        period *= 2
 
     evidence = {
         "abar_m": params.a_bar_m0,
@@ -110,24 +112,18 @@ def classify(state: QuantumState, marked: MarkedSet, tol: float = 1e-9) -> State
     if abar_m_abs < tol and abar_u_abs < tol:
         return StateClass(StateKind.TWO_CYCLE, 2, evidence)
     if constp_residual < tol:
-        return StateClass(StateKind.CONSTANT_P, None, evidence)
-    if rational is not None:
-        p, q = rational
-        # The means return after 2q/gcd(p,2) steps; unmarked deviations
-        # alternate sign, forcing an even period when any are present.
-        k_means = q if p % 2 == 0 else 2 * q
-        if params.sigma_u0 > tol and k_means % 2 == 1:
-            k_means *= 2
-        return StateClass(StateKind.PERIODIC_CYCLE, k_means, evidence)
+        return StateClass(StateKind.CONSTANT_P, period, evidence)
+    if period is not None:
+        return StateClass(StateKind.PERIODIC_CYCLE, period, evidence)
     return StateClass(StateKind.GENERIC, None, evidence)
 
 
 def _as_max_period(max_period) -> int:
     """``detect_cycle``'s check of ``max_period``: in [1, ``MAX_TRAJECTORY_STEPS``]."""
     max_period = _as_index(max_period, "max_period")
-    if max_period < 1:
-        raise ValueError(f"max_period must be >= 1, got {max_period}")
-    return _as_step_count(max_period, "max_period")
+    if not 1 <= max_period <= MAX_TRAJECTORY_STEPS:
+        raise ValueError(f"max_period must be in [1, {MAX_TRAJECTORY_STEPS}], got {max_period}")
+    return max_period
 
 
 def detect_cycle(
@@ -137,21 +133,21 @@ def detect_cycle(
     tol: float = 1e-10,
     up_to_phase: bool = False,
 ) -> int | None:
-    """Smallest k <= max_period with U_G^k returning the initial state.
+    """Smallest k <= min(max_period, 6) with U_G^k returning the initial state.
 
     By default recurrence is exact (the overlap with the initial state
     must return to 1, phase included), which is the period of the
     amplitudes as a dynamical system.  With ``up_to_phase`` the criterion
     is the phase-insensitive fidelity |<phi|U_G^k|phi>|^2 >= 1 - tol;
     that can halve the reported period when an iterate is a global sign
-    flip of the initial state.  ``max_period`` is at most
-    ``MAX_TRAJECTORY_STEPS``, the bound on every trajectory, and ``tol``
-    is positive and finite, as in ``classify``.
+    flip of the initial state.  No cycle is longer than 6 steps (Niven's
+    theorem), so no later near-return within ``tol`` is reported.  Needs
+    ``max_period`` in [1, ``MAX_TRAJECTORY_STEPS``] and a finite ``tol`` > 0.
     """
     max_period = _as_max_period(max_period)
     tol = _as_tolerance(tol)
     initial = state.amplitudes
-    registers = _registers(state, marked, max_period)
+    registers = _registers(state, marked, min(max_period, _LONGEST_PERIOD))
     next(registers)  # t = 0, the initial state; checks the arguments
     for k, amps in enumerate(registers, start=1):
         overlap = complex(np.vdot(initial, amps))
@@ -186,6 +182,7 @@ def build_fixed_point(marked: MarkedSet, weights) -> QuantumState:
         raise ValueError(
             f"marked set covers {marked.num_states} states, not a power of two"
         )
+    n = _as_qubit_count(n)
     amps = np.zeros(marked.num_states, dtype=np.complex128)
     amps[marked.indices_array] = w
     return QuantumState(n, amps)

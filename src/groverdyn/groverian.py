@@ -31,6 +31,9 @@ SWEEP_TOL = 1e-12
 # over a minute.
 MAX_RESTARTS = 10_000
 
+# Largest grid_search_oracle resolution: about 96 bytes a grid point at n = 3.
+MAX_RESOLUTION = 1000
+
 
 @dataclass(frozen=True, eq=False)
 class ProductState:
@@ -215,12 +218,12 @@ def _angle_grid(resolution: int) -> np.ndarray:
 
 
 def _oracle_arguments(n: int, resolution) -> int:
-    """``grid_search_oracle``'s checks: n <= 3 and a resolution >= 16, returned."""
+    """``grid_search_oracle``'s checks: n <= 3 and a resolution in [16, MAX_RESOLUTION]."""
     if n > 3:
         raise ValueError(f"grid_search_oracle supports n <= 3, got n={n}")
     resolution = _as_index(resolution, "resolution")
-    if resolution < 16:
-        raise ValueError(f"resolution must be >= 16, got {resolution!r}")
+    if not 16 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be in [16, {MAX_RESOLUTION}], got {resolution!r}")
     return resolution
 
 
@@ -256,8 +259,8 @@ def apply_local_unitaries(state: QuantumState, unitaries) -> QuantumState:
     for k, u in enumerate(mats):
         if u.shape != (2, 2):
             raise ValueError(f"unitary {k} has shape {u.shape}, expected (2, 2)")
-        # Written so that a NaN entry fails too.
-        if not np.max(np.abs(np.conj(u.T) @ u - eye)) <= _UNITARY_ATOL:
+        # A NaN or inf entry is refused before the product, which would warn.
+        if not (np.isfinite(u).all() and np.max(np.abs(np.conj(u.T) @ u - eye)) <= _UNITARY_ATOL):
             raise ValueError(f"matrix {k} is not unitary within {_UNITARY_ATOL}")
     t = state.amplitudes.reshape((2,) * state.n)
     for k, u in enumerate(mats):

@@ -34,11 +34,11 @@ MAX_SNAPSHOT_AMPLITUDES = 1 << 22
 MAX_TRAJECTORY_STEPS = 100_000
 
 
-def _as_step_count(t_max, what: str = "t_max") -> int:
+def _as_step_count(t_max) -> int:
     """Validate a trajectory length: an integer in [0, MAX_TRAJECTORY_STEPS]."""
-    t_max = _as_index(t_max, what)
+    t_max = _as_index(t_max, "t_max")
     if not 0 <= t_max <= MAX_TRAJECTORY_STEPS:
-        raise ValueError(f"{what} must be in [0, {MAX_TRAJECTORY_STEPS}], got {t_max}")
+        raise ValueError(f"t_max must be in [0, {MAX_TRAJECTORY_STEPS}], got {t_max}")
     return t_max
 
 

@@ -124,8 +124,9 @@ def test_steps_beyond_trajectory_limit_exit_2(tmp_path, capsys, command):
         (["avg-success", "--n", "22", "--r", "2097152"], 3, "MAX_SWEEP_INDICES"),
         (["classify", "--marked", "0", "--tol", "-1"], 2, "tol must be positive and finite"),
         (["classify", "--marked", "0", "--max-period", "100001"], 2,
-         "max_period must be in [0, 100000]"),
-        (["classify", "--marked", "0", "--max-period", "0"], 2, "max_period must be >= 1"),
+         "max_period must be in [1, 100000], got 100001"),
+        (["classify", "--marked", "0", "--max-period", "0"], 2,
+         "max_period must be in [1, 100000], got 0"),
         (["groverian", "--restarts", "0"], 2, "restarts must be >= 1"),
         (["groverian", "--restarts", "10001"], 2, "at most MAX_RESTARTS = 10000"),
         (["groverian", "--seed", "-1"], 2, "seed must be a non-negative"),
@@ -187,13 +188,13 @@ def test_negative_seed_exits_2_naming_the_seed(tmp_path, capsys, argv):
 
 
 def test_classify_max_period_beyond_trajectory_limit_exit_2(capsys):
-    # The cycle search steps like a trajectory and has the same bound.
+    # --max-period keeps the trajectory limit as its range.
     with mock.patch.object(_kernels, "run_grover", side_effect=AssertionError("iterated")):
         code = main(["classify", "--state", "eta", "--n", "4", "--marked", "1",
                      "--max-period", "100001"])
     assert code == 2
     captured = capsys.readouterr()
-    assert "max_period must be in [0, 100000]" in captured.err
+    assert "max_period must be in [1, 100000]" in captured.err
     assert captured.out == ""
 
 

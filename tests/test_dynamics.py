@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from groverdyn import (
     moments,
 )
 from groverdyn import _kernels
+from groverdyn.dynamics import _rational_pq
 from groverdyn.simulator import MAX_TRAJECTORY_STEPS
 from helpers import (
     constant_p_state,
@@ -77,6 +79,28 @@ def test_classify_constant_p():
     assert float(np.max(np.abs(p - p[0]))) < 1e-8  # 10 * default tol
 
 
+@pytest.mark.parametrize("n, period", [(1, 4), (2, 6)])
+def test_classify_constant_p_carries_the_period_at_rational_omega(n, period):
+    # r/N = 1/2 and 1/4: omega = pi/2 and pi/3, so the state returns.
+    state, marked = constant_p_state(n)
+    verdict = classify(state, marked)
+    assert verdict.kind is StateKind.CONSTANT_P
+    assert verdict.period == period
+    assert detect_cycle(state, marked, MAX_TRAJECTORY_STEPS) == period
+
+
+def test_rational_pq_matches_the_continued_fraction_search():
+    # The search it replaced: omega/pi rounded to q <= 64 within 1e-12.
+    for n in range(1, 13):
+        num_states = 1 << n
+        for r in range(1, num_states):
+            x = 2.0 * math.asin(math.sqrt(r / num_states)) / math.pi
+            frac = Fraction(x).limit_denominator(64)
+            rational = abs(x - float(frac)) < 1e-12 and 0 < frac < 1
+            expected = (frac.numerator, frac.denominator) if rational else None
+            assert _rational_pq(num_states, r) == expected, (n, r)
+
+
 def test_classify_periodic_cycle_quarter_filling():
     state = build_state("eta", 4)
     marked = MarkedSet(16, (0, 1, 2, 3))
@@ -132,12 +156,26 @@ def _zero_mean(rng, size):
 
 
 def _periodic_input(family, n, seed):
-    """A state with a known cycle, plus seeded deviations that keep it."""
+    """A state with a known cycle, plus seeded deviations that keep it.
+
+    The ``haar`` and ``zero_mean`` families have none built in: they draw
+    r from N/4, N/2, 3N/4 and one uniform count, so most of them cycle.
+    """
     rng = np.random.default_rng(seed)
     num_states = 1 << n
+    # 4r/N = 1, 2, 3: the only r where omega/pi is rational.
+    rational_r = [num_states // 4, num_states // 2, 3 * num_states // 4]
+    if family in ("haar", "zero_mean"):
+        r = int(rng.choice(rational_r + [int(rng.integers(1, num_states))]))
+        marked = random_marked_set(n, r, rng)
+        if family == "haar":
+            return random_state(n, rng), marked
+        return build_state("zero_mean", n, seed=int(rng.integers(2**32))), marked
     if family == "quarter_filling":
         # N/r = 4: omega = pi/3, so the means return after 6 steps.
         r = num_states // 4
+    elif family == "constant_p":
+        r = int(rng.choice(rational_r))
     elif family == "fixed_point_a":
         r = int(rng.integers(2, num_states))
     elif family == "fixed_point_b":
@@ -154,6 +192,14 @@ def _periodic_input(family, n, seed):
         amps[m_idx] = _zero_mean(rng, r)
     elif family == "fixed_point_b":
         amps[u_idx] = _zero_mean(rng, num_states - r)
+    elif family == "constant_p":
+        # abar_m = +-i sqrt((N-r)/r) abar_u: one rotating coordinate is zero.
+        amps[m_idx] = rng.choice([-1.0, 1.0]) * 1j * math.sqrt((num_states - r) / r)
+        amps[u_idx] = 1.0
+        for group in (m_idx, u_idx):
+            if group.size > 1:  # a lone amplitude has no deviation
+                deviation = math.sqrt(group.size) * _zero_mean(rng, group.size)
+                amps[group] += rng.uniform(0.0, 0.5) * deviation
     else:
         theta = rng.uniform(0.1, math.pi / 2 - 0.1)
         amps[m_idx] = math.cos(theta) * _zero_mean(rng, r)
@@ -166,14 +212,20 @@ def _periodic_input(family, n, seed):
     "fixed_point_b",
     "two_cycle",
     "quarter_filling",
+    "constant_p",
+    "haar",
+    "zero_mean",
 ])
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+@given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
 def test_classified_period_is_detected(family, n, seed):
+    # Both ways: the search allowed every step a trajectory may take finds
+    # the classified period, and finds none where classify reports none.
     state, marked = _periodic_input(family, n, seed)
     verdict = classify(state, marked)
-    assert verdict.period is not None
-    assert detect_cycle(state, marked, verdict.period) == verdict.period
+    if family not in ("haar", "zero_mean"):
+        assert verdict.period is not None
+    assert detect_cycle(state, marked, MAX_TRAJECTORY_STEPS) == verdict.period
 
 
 def test_classify_rejects_bad_tol():
@@ -205,16 +257,16 @@ def test_detect_cycle_rejects_non_integer_max_period():
 
 
 def test_detect_cycle_rejects_max_period_below_one():
-    with pytest.raises(ValueError, match="max_period must be >= 1"):
+    with pytest.raises(ValueError, match=r"max_period must be in \[1, 100000\], got 0"):
         detect_cycle(build_state("eta", 3), MarkedSet(8, (1,)), 0)
 
 
 def test_detect_cycle_bounds_max_period_before_stepping():
-    # Through the shared stepping loop a search is a trajectory, bounded
-    # like every other; nothing is iterated before the bound is checked.
+    # max_period keeps the trajectory limit as its range, and nothing is
+    # iterated before the range is checked.
     state, marked = build_state("eta", 3), MarkedSet(8, (1,))
     with mock.patch.object(_kernels, "run_grover", side_effect=AssertionError("iterated")):
-        with pytest.raises(ValueError, match=rf"max_period must be in \[0, {MAX_TRAJECTORY_STEPS}\]"):
+        with pytest.raises(ValueError, match=rf"max_period must be in \[1, {MAX_TRAJECTORY_STEPS}\]"):
             detect_cycle(state, marked, MAX_TRAJECTORY_STEPS + 1)
     fixed_point = build_fixed_point(MarkedSet(8, (0, 1)), np.array([1.0, -1.0]) / math.sqrt(2))
     assert detect_cycle(fixed_point, MarkedSet(8, (0, 1)), MAX_TRAJECTORY_STEPS) == 1
@@ -228,6 +280,32 @@ def test_detect_cycle_stops_at_first_recurrence():
         assert detect_cycle(state, marked, 12) == 6
     assert kernel.call_count == 6
     assert all(call.args[2] == 1 for call in kernel.call_args_list)
+
+
+def test_detect_cycle_steps_at_most_six_times():
+    # No cycle is longer than 6 steps, so a search of any length stops there.
+    rng = np.random.default_rng(44)
+    state, marked = random_state(10, rng), random_marked_set(10, 3, rng)
+    with mock.patch.object(_kernels, "run_grover", wraps=_kernels.run_grover) as kernel:
+        assert detect_cycle(state, marked, MAX_TRAJECTORY_STEPS) is None
+    assert kernel.call_count <= 6
+
+
+def test_detect_cycle_ignores_near_returns():
+    # The overlap check is absolute, and the part of these states that
+    # rotates weighs little, so the angle's near-returns pass it: a search
+    # of 100 steps found k = 82 for the first and 1000 steps k = 548 for
+    # the second.  Neither state returns: omega/pi is irrational.
+    marked = MarkedSet(512, (65, 400, 436))
+    zero_mean = build_state("zero_mean", 9, seed=3)
+    assert classify(zero_mean, marked).period is None
+    assert detect_cycle(zero_mean, marked, 100) is None
+
+    marked = MarkedSet(64, (0, 5))
+    amps = two_cycle_state(marked).amplitudes + 1e-3 * build_state("eta", 6).amplitudes
+    nudged = QuantumState.renormalized(6, amps)
+    assert classify(nudged, marked).kind is StateKind.GENERIC
+    assert detect_cycle(nudged, marked, 1000) is None
 
 
 def test_detect_cycle_period_six():
@@ -299,6 +377,14 @@ def test_build_fixed_point_examples():
     assert classify(state3, marked3).kind is StateKind.FIXED_POINT_A
     out3 = grover_iterate(state3, marked3)
     assert np.allclose(out3.amplitudes, state3.amplitudes, atol=1e-14)
+
+
+def test_build_fixed_point_checks_n_before_allocating():
+    # 2^30 amplitudes are 16 GiB; n is refused before the register is sized.
+    marked = MarkedSet(1 << 30, (0, 1))
+    with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
+        with pytest.raises(ValueError, match=r"n must be in \[1, 24\], got 30"):
+            build_fixed_point(marked, np.array([1.0, -1.0]) / math.sqrt(2))
 
 
 def test_build_fixed_point_rejects_bad_weights():

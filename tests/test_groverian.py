@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -221,6 +222,19 @@ def test_oracle_rejects_large_n_and_small_resolution():
         grid_search_oracle(build_state("eta", 2), 8)
 
 
+def test_oracle_resolution_over_the_limit_is_refused_before_the_grid():
+    # At n = 3 the grid holds about 96 bytes a point: 9.6 GB at 10,000.
+    state = build_state("w", 3)
+    with mock.patch.object(groverian, "_angle_grid", side_effect=AssertionError("gridded")):
+        with pytest.raises(ValueError, match=r"resolution must be in \[16, 1000\], got 1001"):
+            grid_search_oracle(state, 1001)
+        with mock.patch.object(groverian, "MAX_RESOLUTION", 20):
+            with pytest.raises(ValueError, match=r"resolution must be in \[16, 20\], got 21"):
+                grid_search_oracle(state, 21)
+    with mock.patch.object(groverian, "MAX_RESOLUTION", 20):
+        assert grid_search_oracle(state, 20) <= 4 / 9 + 1e-12
+
+
 def test_local_unitary_identity_gives_zero():
     state = build_state("ghz", 3)
     eye = [np.eye(2)] * 3
@@ -250,11 +264,14 @@ def test_local_unitary_rejects_non_unitary():
         )
     # One NaN or inf entry makes U^dagger U - I NaN, which fails every
     # comparison: unchecked, the result is an all-NaN state.
+    # They are refused before U^dagger U is formed, so numpy warns of nothing.
     for bad in (math.nan, math.inf):
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not unitary"):
-            apply_local_unitaries(
-                build_state("eta", 2), [np.eye(2), np.array([[1, 0], [0, bad]])]
-            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not unitary"):
+                apply_local_unitaries(
+                    build_state("eta", 2), [np.eye(2), np.array([[1, 0], [0, bad]])]
+                )
 
 
 def test_measure_invariant_under_qubit_relabeling():
