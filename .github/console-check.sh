@@ -4,6 +4,9 @@
 # checkout after `pip install -e .`, or with `groverdyn` on PATH standing
 # for `python -m groverdyn`.
 set -e
+# The parser is built once, when the CLI module is imported.
+groverdyn --help > /dev/null
+groverdyn simulate --help > /dev/null
 groverdyn classify --state eta --n 4 --marked 0,1,2,3 --max-period 12
 # 2^16 amplitudes: the state writer encodes them in several chunks.
 groverdyn state make haar --n 16 --seed 1 --out s.json
@@ -27,10 +30,12 @@ test "$code" -eq 3
 code=0
 groverdyn groverian --state s.json --n 16 --oracle-check || code=$?
 test "$code" -eq 2
-# So is a restart count over MAX_RESTARTS (10000).
+# So is a restart count over MAX_RESTARTS (10000), in the one wording of
+# an integer out of range.
 code=0
-groverdyn groverian --state s.json --n 16 --restarts 10001 || code=$?
+groverdyn groverian --state s.json --n 16 --restarts 10001 2> restarts.err || code=$?
 test "$code" -eq 2
+grep -q "restarts must be in \[1, 10000\], got 10001" restarts.err
 groverdyn avg-success --state eta --n 6 --r 2 --out avg-all.json
 groverdyn avg-success --state ghz --n 10 --r 2 --samples 500 --seed 7 --out avg-sampled.json
 # The sweep size the benchmark times: all 4096 sets of r = 1, one block

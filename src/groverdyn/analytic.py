@@ -30,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MarkedSet, QuantumState, _as_index, _as_qubit_count, _check_compatible, moments
+from .core import (
+    MarkedSet, QuantumState, _as_index, _as_int_in, _as_qubit_count, _check_compatible, moments
+)
 
 # Relative threshold below which the smaller of |z+|, |z-| is treated as
 # zero and the phase delta is reported undefined.
@@ -84,9 +86,7 @@ class AnalyticParams:
 def optimal_iterations(n: int, r: int) -> int:
     """Standard optimal iteration count floor(pi/4 * sqrt(N/r))."""
     num_states = 1 << _as_qubit_count(n)
-    r = _as_index(r, "marked count")
-    if not 1 <= r < num_states:
-        raise ValueError(f"r must satisfy 1 <= r < {num_states}, got {r}")
+    r = _as_int_in(r, "r", 1, num_states - 1)
     return math.floor(math.pi / 4.0 * math.sqrt(num_states / r))
 
 
@@ -178,6 +178,7 @@ def analytic_amplitudes(state: QuantumState, marked: MarkedSet, t: int) -> Quant
     overwritten, so no unmarked index list is built.
     """
     _check_compatible(state, marked)
+    t = _as_index(t, "t")
     params = compute_params(state, marked)
     a_bar_m_t, a_bar_u_t = analytic_amplitude_means(params, t)
 

@@ -21,6 +21,8 @@ from .groverian import (
     optimize_product,
 )
 from .harness import (
+    PARAMETER_FREE_BUILDERS,
+    STATE_BUILDERS,
     ConfigurationError,
     build_state,
     compare_run,
@@ -51,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     state = sub.add_parser("state", help="state-file utilities")
     state_sub = state.add_subparsers(dest="state_command", required=True)
     make = state_sub.add_parser("make", help="build a named state and save it")
-    make.add_argument("name", help="eta|basis|ghz|w|zero_mean|haar|k_uniform")
+    make.set_defaults(run=_cmd_state_make)
+    make.add_argument("name", help="|".join(STATE_BUILDERS))
     make.add_argument("--n", type=int, required=True)
     make.add_argument("--k", type=int, default=None,
                       help="basis index or k_uniform amplitude count")
@@ -59,7 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     make.add_argument("--out", required=True)
 
     simulate = sub.add_parser("simulate", help="evolve a state, write trajectory CSV")
-    simulate.add_argument("--state", required=True, help="state file or eta|ghz|w")
+    simulate.set_defaults(run=_cmd_simulate)
+    simulate.add_argument("--state", required=True,
+                          help="state file or " + "|".join(PARAMETER_FREE_BUILDERS))
     simulate.add_argument("--n", type=int, required=True)
     simulate.add_argument("--marked", required=True, help="comma-separated indices")
     simulate.add_argument("--steps", type=int, required=True)
@@ -69,6 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--out", required=True)
 
     compare = sub.add_parser("compare", help="simulator vs closed form, JSON report")
+    compare.set_defaults(run=_cmd_compare)
     compare.add_argument("--state", required=True)
     compare.add_argument("--n", type=int, required=True)
     compare.add_argument("--marked", required=True)
@@ -76,6 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--out", required=True)
 
     avg = sub.add_parser("avg-success", help="average P(tau) over marked sets")
+    avg.set_defaults(run=_cmd_avg_success)
     avg.add_argument("--state", required=True)
     avg.add_argument("--n", type=int, required=True)
     avg.add_argument("--r", type=int, required=True)
@@ -84,6 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     avg.add_argument("--out", required=True)
 
     cls = sub.add_parser("classify", help="fixed-point / cycle classification")
+    cls.set_defaults(run=_cmd_classify)
     cls.add_argument("--state", required=True)
     cls.add_argument("--n", type=int, required=True)
     cls.add_argument("--marked", required=True)
@@ -92,6 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="also search for an exact cycle up to this period; none exceeds 6")
 
     grov = sub.add_parser("groverian", help="Groverian entanglement of a state")
+    grov.set_defaults(run=_cmd_groverian)
     grov.add_argument("--state", required=True)
     grov.add_argument("--n", type=int, required=True)
     grov.add_argument("--restarts", type=int, default=32)
@@ -195,20 +204,14 @@ def _cmd_groverian(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "state": _cmd_state_make,
-    "simulate": _cmd_simulate,
-    "compare": _cmd_compare,
-    "avg-success": _cmd_avg_success,
-    "classify": _cmd_classify,
-    "groverian": _cmd_groverian,
-}
+# Built once per process, after the handlers it binds.
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

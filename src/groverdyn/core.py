@@ -26,12 +26,23 @@ def _as_index(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _as_int_in(value, what: str, low: int, high: int | None = None) -> int:
+    """``value`` from outside input as an integer in [low, high], or >= low without ``high``.
+
+    This is the one place that words the refusal of an integer out of range.
+    """
+    v = _as_index(value, what)
+    if high is None:
+        if v < low:
+            raise ValueError(f"{what} must be >= {low}, got {v}")
+    elif not low <= v <= high:
+        raise ValueError(f"{what} must be in [{low}, {high}], got {v}")
+    return v
+
+
 def _as_seed(value) -> int:
     """Validate a random-generator seed from outside input: an integer >= 0."""
-    seed = _as_index(value, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return seed
+    return _as_int_in(value, "seed", 0)
 
 
 # Largest register the package builds or loads: 2^24 complex128
@@ -41,10 +52,7 @@ MAX_QUBITS = 24
 
 def _as_qubit_count(value) -> int:
     """Validate a register size from outside input before anything is sized by it."""
-    n = _as_index(value, "n")
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
-    return n
+    return _as_int_in(value, "n", 1, MAX_QUBITS)
 
 
 # Tolerance on sum |a_i|^2 - 1 accepted by the constructor.  There is no
@@ -128,7 +136,8 @@ class MarkedSet:
     """Set M of marked basis-state indices inside a space of ``num_states``.
 
     Encodes the search oracle: f(i) = 1 exactly for i in M.  At least one
-    state must be marked and at least one unmarked.
+    state must be marked and at least one unmarked.  ``num_states`` is the
+    register size, refused unless it is 2^n with n in [1, MAX_QUBITS].
     """
 
     num_states: int
@@ -136,8 +145,9 @@ class MarkedSet:
 
     def __post_init__(self):
         num_states = _as_index(self.num_states, "num_states")
-        if num_states < 2:
-            raise ValueError("num_states must be >= 2")
+        if num_states < 1 or num_states & (num_states - 1):
+            raise ValueError(f"num_states must be a power of two, got {num_states}")
+        _as_qubit_count(num_states.bit_length() - 1)
         object.__setattr__(self, "num_states", num_states)
         idx = tuple(sorted(_as_index(i, "marked index") for i in self.indices))
         if len(set(idx)) != len(idx):

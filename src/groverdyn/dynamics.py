@@ -10,13 +10,14 @@ fixed point > two-cycle > constant-P > periodic cycle > generic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .analytic import compute_params
-from .core import MarkedSet, QuantumState, _as_index, _as_qubit_count
+from .core import MarkedSet, QuantumState, _as_int_in
 from .simulator import MAX_TRAJECTORY_STEPS, _registers
 
 # Niven's theorem: cos(omega) = 1 - 2r/N is rational, so omega/pi is rational
@@ -57,8 +58,8 @@ def _rational_pq(num_states: int, r: int) -> tuple[int, int] | None:
 
 
 def _as_tolerance(tol) -> float:
-    """``classify``'s and ``detect_cycle``'s check of ``tol``: positive and finite."""
-    if not (math.isfinite(tol) and tol > 0):
+    """``classify``'s and ``detect_cycle``'s check of ``tol``: a positive finite number."""
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     return tol
 
@@ -120,10 +121,7 @@ def classify(state: QuantumState, marked: MarkedSet, tol: float = 1e-9) -> State
 
 def _as_max_period(max_period) -> int:
     """``detect_cycle``'s check of ``max_period``: in [1, ``MAX_TRAJECTORY_STEPS``]."""
-    max_period = _as_index(max_period, "max_period")
-    if not 1 <= max_period <= MAX_TRAJECTORY_STEPS:
-        raise ValueError(f"max_period must be in [1, {MAX_TRAJECTORY_STEPS}], got {max_period}")
-    return max_period
+    return _as_int_in(max_period, "max_period", 1, MAX_TRAJECTORY_STEPS)
 
 
 def detect_cycle(
@@ -173,16 +171,13 @@ def build_fixed_point(marked: MarkedSet, weights) -> QuantumState:
         )
     if marked.r < 2:
         raise ValueError("a zero-mean fixed point needs at least 2 marked states")
+    # A NaN passes both bounds below, and an inf makes the mean warn.
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     if abs(np.mean(w)) > 1e-12:
         raise ValueError(f"weights must have zero mean, got mean {np.mean(w)!r}")
     if abs(float(np.sum(np.abs(w) ** 2)) - 1.0) > 1e-12:
         raise ValueError("weights must have unit norm")
-    n = marked.num_states.bit_length() - 1
-    if 1 << n != marked.num_states:
-        raise ValueError(
-            f"marked set covers {marked.num_states} states, not a power of two"
-        )
-    n = _as_qubit_count(n)
     amps = np.zeros(marked.num_states, dtype=np.complex128)
     amps[marked.indices_array] = w
-    return QuantumState(n, amps)
+    return QuantumState(marked.num_states.bit_length() - 1, amps)

@@ -17,7 +17,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import QuantumState, _as_index, _as_seed
+from .core import QuantumState, _as_int_in, _as_qubit_count, _as_seed
 
 _UNITARY_ATOL = 1e-10
 
@@ -48,8 +48,10 @@ class ProductState:
 
     def __post_init__(self):
         q = np.ascontiguousarray(self.qubit_states, dtype=np.complex128)
-        if q.ndim != 2 or q.shape[1] != 2 or q.shape[0] < 1:
+        if q.ndim != 2 or q.shape[1] != 2:
             raise ValueError(f"expected an (n, 2) array of qubit factors, got {q.shape}")
+        # to_state expands to 2^n amplitudes.
+        _as_qubit_count(q.shape[0])
         norms = np.sum(np.abs(q) ** 2, axis=1)
         # Written so that a NaN norm fails too.
         if not np.max(np.abs(norms - 1.0)) <= 1e-12:
@@ -148,14 +150,7 @@ def _ascend(
 
 def _optimizer_arguments(restarts, seed) -> tuple[int, int]:
     """``optimize_product``'s checks: ``(restarts, seed)``, with 1 <= restarts <= MAX_RESTARTS."""
-    restarts = _as_index(restarts, "restarts")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts!r}")
-    if restarts > MAX_RESTARTS:
-        raise ValueError(
-            f"restarts must be at most MAX_RESTARTS = {MAX_RESTARTS}, got {restarts!r}"
-        )
-    return restarts, _as_seed(seed)
+    return _as_int_in(restarts, "restarts", 1, MAX_RESTARTS), _as_seed(seed)
 
 
 def optimize_product(
@@ -221,10 +216,7 @@ def _oracle_arguments(n: int, resolution) -> int:
     """``grid_search_oracle``'s checks: n <= 3 and a resolution in [16, MAX_RESOLUTION]."""
     if n > 3:
         raise ValueError(f"grid_search_oracle supports n <= 3, got n={n}")
-    resolution = _as_index(resolution, "resolution")
-    if not 16 <= resolution <= MAX_RESOLUTION:
-        raise ValueError(f"resolution must be in [16, {MAX_RESOLUTION}], got {resolution!r}")
-    return resolution
+    return _as_int_in(resolution, "resolution", 16, MAX_RESOLUTION)
 
 
 def grid_search_oracle(state: QuantumState, resolution: int) -> float:

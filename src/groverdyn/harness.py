@@ -29,6 +29,7 @@ from .core import (
     MarkedSet,
     QuantumState,
     _as_index,
+    _as_int_in,
     _as_qubit_count,
     _as_seed,
     _write_pairs,
@@ -86,8 +87,7 @@ def build_state(name: str, n: int, k: int | None = None, seed: int | None = None
     if name == "eta":
         amps = np.full(num_states, 1.0 / math.sqrt(num_states), dtype=np.complex128)
     elif name == "basis":
-        if k is None or not 0 <= k < num_states:
-            raise ValueError(f"basis state needs an index k in [0, {num_states}), got {k!r}")
+        k = _as_int_in(k, "basis index k", 0, num_states - 1)
         amps = np.zeros(num_states, dtype=np.complex128)
         amps[k] = 1.0
     elif name == "ghz":
@@ -112,8 +112,7 @@ def build_state(name: str, n: int, k: int | None = None, seed: int | None = None
         amps = rng.standard_normal(num_states) + 1j * rng.standard_normal(num_states)
         return QuantumState.renormalized(n, amps)
     elif name == "k_uniform":
-        if k is None or not 1 <= k <= num_states:
-            raise ValueError(f"k_uniform needs k in [1, {num_states}], got {k!r}")
+        k = _as_int_in(k, "k_uniform count k", 1, num_states)
         amps = np.zeros(num_states, dtype=np.complex128)
         amps[:k] = 1.0 / math.sqrt(k)
     else:
@@ -196,9 +195,7 @@ def _sweep_plan(n: int, r, samples, seed) -> tuple[int, int, int, int, int]:
     r = _as_index(r, "r")
     tau = optimal_iterations(n, r)
     if samples is not None:
-        samples = _as_index(samples, "samples")
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples}")
+        samples = _as_int_in(samples, "samples", 1)
     seed = _as_seed(seed)
     num_states = 1 << n
     total = _count_marked_sets(num_states, r)

@@ -17,7 +17,7 @@ from .core import (
     MarkedSet,
     MomentSummary,
     QuantumState,
-    _as_index,
+    _as_int_in,
     _check_compatible,
     _moments_from_array,
 )
@@ -36,10 +36,7 @@ MAX_TRAJECTORY_STEPS = 100_000
 
 def _as_step_count(t_max) -> int:
     """Validate a trajectory length: an integer in [0, MAX_TRAJECTORY_STEPS]."""
-    t_max = _as_index(t_max, "t_max")
-    if not 0 <= t_max <= MAX_TRAJECTORY_STEPS:
-        raise ValueError(f"t_max must be in [0, {MAX_TRAJECTORY_STEPS}], got {t_max}")
-    return t_max
+    return _as_int_in(t_max, "t_max", 0, MAX_TRAJECTORY_STEPS)
 
 
 def _registers(state: QuantumState, marked: MarkedSet, t_max):

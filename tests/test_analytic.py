@@ -14,6 +14,7 @@ from groverdyn import (
     build_state,
     compute_params,
     evolve,
+    grover_iterate,
     inner_product,
     moments,
     optimal_iterations,
@@ -154,6 +155,21 @@ def test_amplitudes_reproduce_input_at_t_zero():
     marked = random_marked_set(5, 3, rng)
     out = analytic_amplitudes(state, marked, 0)
     assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-14
+
+
+@pytest.mark.parametrize("t", [2.5, "3"])
+def test_amplitudes_refuse_a_step_count_that_is_not_an_integer(t):
+    # Unchecked, t = 2.5 gave a unit-norm state that is no Grover iterate.
+    state, marked = build_state("haar", 4, seed=1), MarkedSet(16, (3, 9))
+    with pytest.raises(ValueError, match="t must be an integer"):
+        analytic_amplitudes(state, marked, t)
+
+
+def test_amplitudes_at_negative_t_invert_the_iteration():
+    # U_G is unitary, so t = -1 is the step that one iteration undoes.
+    state, marked = build_state("haar", 4, seed=1), MarkedSet(16, (3, 9))
+    back = grover_iterate(analytic_amplitudes(state, marked, -1), marked)
+    assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-14
 
 
 def test_amplitudes_match_simulator_componentwise():

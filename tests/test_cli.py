@@ -116,9 +116,9 @@ def test_steps_beyond_trajectory_limit_exit_2(tmp_path, capsys, command):
         (["compare", "--marked", "0", "--steps", "100001"], 2, "t_max must be in"),
         (["compare", "--marked", "8", "--steps", "3"], 2, "must lie in [0, 8)"),
         (["classify", "--marked", "0,0"], 2, "must be distinct"),
-        (["avg-success", "--r", "8"], 2, "r must satisfy"),
+        (["avg-success", "--r", "8"], 2, "r must be in [1, 7], got 8"),
         (["avg-success", "--r", "1", "--samples", "0"], 2, "samples must be >= 1"),
-        (["avg-success", "--r", "1", "--seed", "-1"], 2, "seed must be a non-negative"),
+        (["avg-success", "--r", "1", "--seed", "-1"], 2, "seed must be >= 0, got -1"),
         (["avg-success", "--n", "12", "--r", "2", "--samples", "100001"], 3,
          "exceeds the limit"),
         (["avg-success", "--n", "22", "--r", "2097152"], 3, "MAX_SWEEP_INDICES"),
@@ -127,9 +127,10 @@ def test_steps_beyond_trajectory_limit_exit_2(tmp_path, capsys, command):
          "max_period must be in [1, 100000], got 100001"),
         (["classify", "--marked", "0", "--max-period", "0"], 2,
          "max_period must be in [1, 100000], got 0"),
-        (["groverian", "--restarts", "0"], 2, "restarts must be >= 1"),
-        (["groverian", "--restarts", "10001"], 2, "at most MAX_RESTARTS = 10000"),
-        (["groverian", "--seed", "-1"], 2, "seed must be a non-negative"),
+        (["groverian", "--restarts", "0"], 2, "restarts must be in [1, 10000], got 0"),
+        (["groverian", "--restarts", "10001"], 2,
+         "restarts must be in [1, 10000], got 10001"),
+        (["groverian", "--seed", "-1"], 2, "seed must be >= 0, got -1"),
         (["groverian", "--n", "4", "--oracle-check"], 2, "supports n <= 3"),
         (["simulate", "--n", "20", "--marked", "1", "--steps", "1000", "--full-snapshots"], 2,
          "snapshots"),
@@ -182,7 +183,7 @@ def test_negative_seed_exits_2_naming_the_seed(tmp_path, capsys, argv):
         argv = argv + ["--out", str(out)]
     assert main(argv + ["--seed", "-1"]) == 2
     captured = capsys.readouterr()
-    assert "seed must be a non-negative integer" in captured.err
+    assert "seed must be >= 0, got -1" in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
@@ -527,3 +528,22 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert out.exists()
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    # Every command runs on the parser built at import.
+    with mock.patch.object(groverdyn.cli, "_build_parser", side_effect=AssertionError("built")):
+        assert main(["classify", "--state", "eta", "--n", "3", "--marked", "1"]) == 0
+        assert main(["state", "make", "ghz", "--n", "3", "--out", str(tmp_path / "g.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "Generic"
+    assert load_state(tmp_path / "g.json").n == 3
+
+
+def test_help_names_the_state_builders(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["state", "make", "--help"])
+    assert exc.value.code == 0
+    assert "eta|basis|ghz|w|zero_mean|haar|k_uniform" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    assert "state file or eta|ghz|w" in capsys.readouterr().out

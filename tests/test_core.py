@@ -71,6 +71,26 @@ def test_marked_set_validation():
     ms = MarkedSet(8, (5, 1, 3))
     assert ms.indices == (1, 3, 5)
     assert ms.r == 3
+    assert MarkedSet(2, (1,)).num_states == 2
+    assert MarkedSet(1 << 24, (0,)).num_states == 1 << 24
+
+
+@pytest.mark.parametrize(
+    "num_states, message",
+    [
+        (12, "num_states must be a power of two, got 12"),
+        (0, "num_states must be a power of two, got 0"),
+        (-8, "num_states must be a power of two, got -8"),
+        (1, r"n must be in \[1, 24\], got 0"),
+        (1 << 25, r"n must be in \[1, 24\], got 25"),
+        # Its mask would be 1 TiB of bools.
+        (1 << 40, r"n must be in \[1, 24\], got 40"),
+    ],
+    ids=["12", "0", "-8", "1", "2^25", "2^40"],
+)
+def test_marked_set_owns_the_register_size(num_states, message):
+    with pytest.raises(ValueError, match=message):
+        MarkedSet(num_states, (0,))
 
 
 def test_moments_equal_superposition():

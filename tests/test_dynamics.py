@@ -228,6 +228,7 @@ def test_classified_period_is_detected(family, n, seed):
     assert detect_cycle(state, marked, MAX_TRAJECTORY_STEPS) == verdict.period
 
 
+@pytest.mark.filterwarnings("error")
 def test_classify_rejects_bad_tol():
     with pytest.raises(ValueError):
         classify(build_state("eta", 3), MarkedSet(8, (1,)), tol=0.0)
@@ -235,12 +236,13 @@ def test_classify_rejects_bad_tol():
     # into a PeriodicCycle.
     marked = MarkedSet(8, (0, 1))
     fixed_point = build_fixed_point(marked, np.array([1.0, -1.0]) / math.sqrt(2))
-    for tol in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
+    for tol in (math.nan, math.inf, None, "x", 1e-9j):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
             classify(fixed_point, marked, tol=tol)
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, None, "x"])
 def test_detect_cycle_rejects_bad_tol(tol):
     # eta at n = 4 with 4 marked states has period 6.  Unchecked, a NaN or
     # negative tol reports no cycle and an infinite one reports period 1.
@@ -380,13 +382,15 @@ def test_build_fixed_point_examples():
 
 
 def test_build_fixed_point_checks_n_before_allocating():
-    # 2^30 amplitudes are 16 GiB; n is refused before the register is sized.
-    marked = MarkedSet(1 << 30, (0, 1))
+    # 2^30 amplitudes are 16 GiB; the marked set refuses n before any
+    # register is sized by it.
     with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
         with pytest.raises(ValueError, match=r"n must be in \[1, 24\], got 30"):
+            marked = MarkedSet(1 << 30, (0, 1))
             build_fixed_point(marked, np.array([1.0, -1.0]) / math.sqrt(2))
 
 
+@pytest.mark.filterwarnings("error")
 def test_build_fixed_point_rejects_bad_weights():
     marked = MarkedSet(16, (2, 9))
     with pytest.raises(ValueError, match="zero mean"):
@@ -395,6 +399,11 @@ def test_build_fixed_point_rejects_bad_weights():
         build_fixed_point(marked, [1.0, -1.0])
     with pytest.raises(ValueError, match="weights"):
         build_fixed_point(marked, [1.0, -1.0, 0.0])
+    # Unchecked, a NaN passes both bounds and fails later in QuantumState,
+    # and an inf makes numpy warn before the refusal.
+    for bad in ([math.nan, math.nan], [math.inf, -math.inf], [math.nan, 1.0]):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            build_fixed_point(marked, bad)
     single = MarkedSet(16, (3,))
     with pytest.raises(ValueError):
         build_fixed_point(single, [1.0])

@@ -42,6 +42,12 @@ def test_product_state_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="unit norm"):
             ProductState(np.array([[bad, 0.0]], dtype=complex))
+    # to_state would expand 25 factors to 2^25 amplitudes, 512 MiB; the
+    # row count is refused at construction instead.
+    with pytest.raises(ValueError, match=r"n must be in \[1, 24\], got 25"):
+        ProductState(np.tile([1.0, 0.0], (25, 1)))
+    with pytest.raises(ValueError, match=r"n must be in \[1, 24\], got 0"):
+        ProductState(np.empty((0, 2)))
 
 
 def test_product_state_expansion_msb_first():
@@ -125,7 +131,7 @@ def test_restarts_over_the_limit_are_refused_before_any_ascent():
     with mock.patch.object(groverian, "MAX_RESTARTS", 4):
         assert optimize_product(state, restarts=4).restarts_used == 5
         with mock.patch.object(groverian, "_ascend", side_effect=AssertionError("ascended")):
-            with pytest.raises(ValueError, match="restarts must be at most MAX_RESTARTS = 4"):
+            with pytest.raises(ValueError, match=r"restarts must be in \[1, 4\], got 5"):
                 optimize_product(state, restarts=5)
 
 

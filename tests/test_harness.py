@@ -398,7 +398,11 @@ def test_sampler_holds_little_beyond_its_sets():
     assert peak <= 2.5 * sets.nbytes, peak / sets.nbytes
 
 
-@pytest.mark.parametrize("seed, message", [(-1, "a non-negative integer"), (2.0, "an integer")])
+@pytest.mark.parametrize(
+    "seed, message",
+    [(-1, ">= 0, got -1"), (2.0, "an integer")],
+    ids=["-1-a non-negative integer", "2.0-an integer"],
+)
 @pytest.mark.parametrize(
     "build",
     [
