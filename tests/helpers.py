@@ -3,9 +3,12 @@
 ``apply_oracle`` and ``apply_diffusion`` are the suite's independent Grover
 step: they allocate a new state per half-step and take the mean with
 ``np.mean``, where the package's kernels update in place and carry the
-register sum.
+register sum.  ``reference_load_state`` is the suite's independent
+state-file loader: it decodes the whole document with ``json.load``.
 """
 
+import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -20,7 +23,7 @@ from groverdyn import (
     build_state,
     optimize_product,
 )
-from groverdyn.core import _check_compatible
+from groverdyn.core import STATE_FILE_NORM_ATOL, _as_qubit_count, _check_compatible
 
 
 def random_state(n: int, rng: np.random.Generator) -> QuantumState:
@@ -48,6 +51,38 @@ def traced_peak(call):
     finally:
         tracemalloc.stop()
     return peak, result
+
+
+def reference_load_state(path) -> QuantumState:
+    """Load a state file as ``load_state`` did before it decoded in chunks.
+
+    ``json.load`` decodes the whole document, then a Python loop checks
+    the exact type of every [re, im] entry.  Every refusal is a
+    ``ValueError``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        # JSON true/false load as bool, which operator.index takes as 1 or 0.
+        if payload["n"].__class__ is bool:
+            raise ValueError(f"n must be an integer, got {payload['n']!r}")
+        n = _as_qubit_count(payload["n"])
+        pairs = payload["amplitudes"]
+        for re, im in pairs:
+            if (re.__class__ is not float and re.__class__ is not int) or (
+                im.__class__ is not float and im.__class__ is not int
+            ):
+                raise ValueError(f"amplitudes must be [re, im] pairs of numbers, got {[re, im]!r}")
+        flat = np.fromiter(itertools.chain.from_iterable(pairs), np.float64, 2 * len(pairs))
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise ValueError(f"malformed state file {path}: {exc!r}") from exc
+    amps = flat.view(np.complex128)
+    if amps.size != 1 << n:
+        raise ValueError(f"expected {1 << n} amplitudes for n={n}, found {amps.size}")
+    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    if not abs(norm_sq - 1.0) <= STATE_FILE_NORM_ATOL:
+        raise ValueError(f"norm^2 = {norm_sq!r}")
+    return QuantumState.renormalized(n, amps)
 
 
 def marked_split_cases() -> dict[str, tuple[QuantumState, MarkedSet]]:

@@ -255,6 +255,18 @@ def test_classify_rejects_state_file_entries_that_are_not_numbers(tmp_path, caps
     assert "malformed state file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [
+    b'{"n": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0\xff]]}',
+    "\ufeff".encode() + json.dumps({"n": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}).encode(),
+], ids=["not_utf8", "utf8_bom"])
+def test_classify_names_a_state_file_it_cannot_read(tmp_path, capsys, data):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(data)
+    code = main(["classify", "--state", str(path), "--n", "1", "--marked", "1"])
+    assert code == 2
+    assert f"malformed state file {path}" in capsys.readouterr().err
+
+
 def test_classify_rejects_deeply_nested_state_file(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)

@@ -2,6 +2,8 @@ import gc
 import inspect
 import json
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +20,9 @@ from groverdyn import (
     moments,
     save_state,
 )
+from groverdyn import core
 from groverdyn.core import _SAVE_CHUNK, _moments_from_array
-from helpers import random_marked_set, random_state
+from helpers import random_marked_set, random_state, reference_load_state, traced_peak
 
 
 def test_state_requires_power_of_two_length():
@@ -442,3 +445,117 @@ def test_state_file_rejects_wrong_count(tmp_path):
     path.write_text(json.dumps({"n": 2, "amplitudes": [[1.0, 0.0]]}))
     with pytest.raises(ValueError, match="amplitudes"):
         load_state(path)
+
+
+def _assert_loads_as_the_reference(path):
+    """``load_state`` gives the reference's amplitudes bit for bit, or both refuse."""
+    try:
+        expected = reference_load_state(path)
+    except ValueError:
+        with pytest.raises(ValueError, match="state file"):
+            load_state(path)
+        return
+    loaded = load_state(path)
+    assert loaded.n == expected.n
+    assert loaded.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+
+# Values of the members the differential test adds: some hold the brackets
+# the loader cuts an amplitude list at, some are amplitude lists, valid or
+# not, that a repeated "amplitudes" key replaces or is replaced by.
+_MEMBER_VALUES = [
+    None, True, 3, -1.5e300, 10**400, "]]", "], [", "[[", {"a": [[1, 2]]}, [], [[]],
+    [[1.0, 0.0], [0.0, 0.0]], [[1, 0], [0, 0]], [[[0.0, 1.0]], [0.0, 0.0]],
+    [[True, False], [False, False]], [[1.0], [0.0, 0.0]], [1.0, 0.0, 0.0, 0.0],
+    [[1.0, 0.0], [10**400, 0.0]], [[1.0, 0.0], ["0", 0.0]],
+]
+# (member separator, key-value separator) around the top-level members.
+_SEPARATORS = [(",", ":"), (", ", ": "), (",\n  ", ": "), ("\r\n,\t", " :\n")]
+
+
+@st.composite
+def _state_documents(draw):
+    """The text of a state document in one of many layouts json.loads accepts."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        state = random_state(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+        pairs = state.amplitudes.view(np.float64).reshape(-1, 2).tolist()
+    else:  # a basis state written with integers
+        pairs = [[1, 0]] + [[0, 0]] * ((1 << n) - 1)
+    amplitudes = json.dumps(
+        pairs, indent=draw(st.sampled_from([None, 0, 2])),
+        separators=draw(st.sampled_from([None, (",", ":")])))
+    space = draw(st.sampled_from(["", " ", "\t", "\n  ", " \r\n "]))
+    amplitudes = re.sub(r"([\[,])", r"\g<1>" + space, amplitudes).replace("]", space + "]")
+    members = [("n", json.dumps(n)), ("amplitudes", amplitudes)]
+    if draw(st.booleans()):
+        members.reverse()
+    for key, value in draw(st.lists(st.tuples(
+            st.sampled_from(["n", "amplitudes", "note"]), st.sampled_from(_MEMBER_VALUES)),
+            max_size=3)):
+        members.insert(draw(st.integers(0, len(members))), (key, json.dumps(value)))
+    comma, colon = draw(st.sampled_from(_SEPARATORS))
+    body = comma.join(f"{json.dumps(key)}{colon}{value}" for key, value in members)
+    return draw(st.sampled_from(["", " \n"])) + "{" + body + "}" + draw(st.sampled_from(["", "\n"]))
+
+
+# A few pairs a chunk, and the default, under which these lists fit one chunk.
+_CHUNK_SIZES = st.one_of(st.integers(1, 200), st.just(core._LOAD_CHUNK))
+
+
+@settings(_FILE_SETTINGS, max_examples=300)
+@given(text=_state_documents(), chunk=_CHUNK_SIZES)
+# An earlier "amplitudes" that json.loads drops, and brackets in a string.
+@example(text='{"amplitudes": [[true, 0]], "note": "]], [[", "amplitudes": '
+              '[[0.6, 0.0], [0.0, 0.8]], "n": 1}', chunk=1)
+@example(text='{"n": 1, "amplitudes": [[0.6, 0.0], [0.0, 0.8]], "amplitudes": '
+              '[[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]]}', chunk=1)
+def test_load_state_matches_the_reference_decoder(tmp_path, text, chunk):
+    path = tmp_path / "state.json"
+    path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(core, "_LOAD_CHUNK", chunk):
+        _assert_loads_as_the_reference(path)
+
+
+# Bytes a flip writes: the JSON punctuation and whitespace, digits, letters
+# of the literals, and bytes that are no UTF-8 on their own.
+_FLIP_BYTES = st.one_of(
+    st.sampled_from(list(b'[]{},:" \t\r\n0123456789.-+eEntrufalsNI\\')),
+    st.integers(0, 255))
+
+
+@settings(_FILE_SETTINGS, max_examples=300)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), where=st.integers(0, 2**16),
+       byte=_FLIP_BYTES, chunk=_CHUNK_SIZES)
+def test_load_state_refuses_a_flipped_byte_where_the_reference_does(
+        tmp_path, n, seed, where, byte, chunk):
+    path = tmp_path / "state.json"
+    save_state(random_state(n, np.random.default_rng(seed)), path)
+    data = bytearray(path.read_bytes())
+    data[where % len(data)] = byte
+    path.write_bytes(bytes(data))
+    with mock.patch.object(core, "_LOAD_CHUNK", chunk):
+        _assert_loads_as_the_reference(path)
+
+
+def test_load_state_peak_stays_near_the_text(tmp_path, monkeypatch):
+    # The whole-document decode peaked at the file plus about 9 registers.
+    n = 16
+    path = tmp_path / "state.json"
+    save_state(random_state(n, np.random.default_rng(5)), path)
+    monkeypatch.setattr(core, "_LOAD_CHUNK", 1 << 12)
+    peak, state = traced_peak(lambda: load_state(path))
+    assert state.n == n
+    assert peak <= path.stat().st_size + 4 * 16 * (1 << n)
+
+
+def test_load_state_of_a_one_chunk_file_peaks_no_higher_than_the_reference(
+        tmp_path, monkeypatch):
+    path = tmp_path / "state.json"
+    save_state(random_state(14, np.random.default_rng(6)), path)
+    monkeypatch.setattr(core, "_LOAD_CHUNK", path.stat().st_size)
+    reference_peak, _ = traced_peak(lambda: reference_load_state(path))
+    peak, _ = traced_peak(lambda: load_state(path))
+    # 1% covers small objects that differ between Python versions; a copy
+    # of the list's text would add about 25%.
+    assert peak <= 1.01 * reference_peak
