@@ -426,7 +426,9 @@ def load_state(path) -> QuantumState:
         raise ValueError(
             f"state file {path}: expected {1 << n} amplitudes for n={n}, found {amps.size}"
         )
-    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    # An entry above about 1e154 squares to inf, which the check refuses.
+    with np.errstate(over="ignore"):
+        norm_sq = float(np.sum(np.abs(amps) ** 2))
     if not abs(norm_sq - 1.0) <= STATE_FILE_NORM_ATOL:
         raise ValueError(
             f"state file {path}: norm^2 = {norm_sq!r} deviates from 1 by more "

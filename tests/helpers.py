@@ -79,7 +79,8 @@ def reference_load_state(path) -> QuantumState:
     amps = flat.view(np.complex128)
     if amps.size != 1 << n:
         raise ValueError(f"expected {1 << n} amplitudes for n={n}, found {amps.size}")
-    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    with np.errstate(over="ignore"):
+        norm_sq = float(np.sum(np.abs(amps) ** 2))
     if not abs(norm_sq - 1.0) <= STATE_FILE_NORM_ATOL:
         raise ValueError(f"norm^2 = {norm_sq!r}")
     return QuantumState.renormalized(n, amps)

@@ -421,6 +421,14 @@ def test_state_file_rejects_bad_norm(tmp_path):
         load_state(path)
 
 
+@pytest.mark.filterwarnings("error")
+def test_state_file_with_an_entry_too_large_to_square_is_refused_without_a_warning(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1, "amplitudes": [[1.0, 0.0], [1e200, 0.0]]}')
+    with pytest.raises(ValueError, match="norm\\^2 = inf"):
+        load_state(path)
+
+
 def test_state_file_renormalizes_small_deviation(tmp_path):
     # deviation below 1e-9 is accepted and explicitly renormalized
     path = tmp_path / "close.json"
@@ -503,6 +511,7 @@ def _state_documents(draw):
 _CHUNK_SIZES = st.one_of(st.integers(1, 200), st.just(core._LOAD_CHUNK))
 
 
+@pytest.mark.filterwarnings("error")
 @settings(_FILE_SETTINGS, max_examples=300)
 @given(text=_state_documents(), chunk=_CHUNK_SIZES)
 # An earlier "amplitudes" that json.loads drops, and brackets in a string.
@@ -524,6 +533,7 @@ _FLIP_BYTES = st.one_of(
     st.integers(0, 255))
 
 
+@pytest.mark.filterwarnings("error")
 @settings(_FILE_SETTINGS, max_examples=300)
 @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), where=st.integers(0, 2**16),
        byte=_FLIP_BYTES, chunk=_CHUNK_SIZES)
