@@ -52,6 +52,13 @@ python -c 'import json; from groverdyn import MarkedSet, analytic_success, build
 groverdyn avg-success --state eta --n 11 --r 2047 --out avg-rN-1.json
 python -c 'import json; a = json.load(open("avg-rN-1.json")); assert a["num_sets"] == 2048, a; assert abs(a["mean_p"] - 2047 / 2048) <= 1e-12, a'
 groverdyn groverian --state w --n 3 --restarts 8 --oracle-check
+# GHZ at n = 3: theta = 0 is on the oracle's grid, so both the oracle and
+# the optimizer find P_max = 1/2.
+groverdyn groverian --state ghz --n 3 --oracle-check > ghz3-groverian.json
+python -c 'import json; d = json.load(open("ghz3-groverian.json")); o = d["oracle"]; assert o["consistent"] is True, d; assert abs(o["p_max"] - 0.5) <= 1e-12 and abs(d["p_max"] - 0.5) <= 1e-12, d'
+# On the largest grid MAX_RESOLUTION admits, the oracle stays a lower
+# bound on W's P_max = 4/9.
+python -c 'from groverdyn import build_state, grid_search_oracle; v = grid_search_oracle(build_state("w", 3), 1000); assert v <= 4 / 9 + 1e-12, v'
 # 100001 sampled sets exceed the sweep limit: configuration error, exit code 3.
 code=0
 groverdyn avg-success --state eta --n 12 --r 2 --samples 100001 --seed 0 --out over.json || code=$?

@@ -86,7 +86,9 @@ class QuantumState:
             raise ValueError(
                 f"expected {1 << self.n} amplitudes for n={self.n}, got shape {amps.shape}"
             )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        # An entry above about 1e154 squares to inf, which the check refuses.
+        with np.errstate(over="ignore"):
+            norm_sq = float(np.sum(np.abs(amps) ** 2))
         # Written so that a NaN norm fails too.
         if not abs(norm_sq - 1.0) <= NORM_ATOL:
             raise ValueError(

@@ -6,7 +6,8 @@ product states, which is what is implemented: an alternating optimizer
 whose single-qubit update is an exact argmax (the normalized
 contraction of the state against the other factors), plus an
 independent oracle for n <= 3 that grids at most one qubit and finishes
-the last two with a 2x2 singular value decomposition.
+the last two exactly, with the closed-form largest eigenvalue of a 2x2
+M M^dagger.
 """
 
 from __future__ import annotations
@@ -31,8 +32,11 @@ SWEEP_TOL = 1e-12
 # over a minute.
 MAX_RESTARTS = 10_000
 
-# Largest grid_search_oracle resolution: about 96 bytes a grid point at n = 3.
+# Largest grid_search_oracle resolution: about 32 bytes a grid point at n = 3.
 MAX_RESOLUTION = 1000
+
+# Grid points grid_search_oracle finishes at a time.
+_ORACLE_BLOCK = 1 << 11
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +56,9 @@ class ProductState:
             raise ValueError(f"expected an (n, 2) array of qubit factors, got {q.shape}")
         # to_state expands to 2^n amplitudes.
         _as_qubit_count(q.shape[0])
-        norms = np.sum(np.abs(q) ** 2, axis=1)
+        # An entry above about 1e154 squares to inf, which the check refuses.
+        with np.errstate(over="ignore"):
+            norms = np.sum(np.abs(q) ** 2, axis=1)
         # Written so that a NaN norm fails too.
         if not np.max(np.abs(norms - 1.0)) <= 1e-12:
             raise ValueError("every qubit factor must be unit norm")
@@ -131,12 +137,15 @@ def _ascend(
         previous = value
         rights = [np.ones(1, dtype=np.complex128)]
         for c in np.conj(factors[:0:-1]):
-            rights.append(np.outer(c, rights[-1]).ravel())
+            rights.append((c[:, None] * rights[-1]).ravel())
         left = psi_t
         for k in range(n):
             left = left.reshape(2, -1)
             env = left @ rights[n - 1 - k]
-            nrm = float(np.linalg.norm(env))
+            # np.linalg.norm's own sum, without its wrapper: the same BLAS
+            # dot products, so the same bits.
+            re, im = env.real, env.imag
+            nrm = math.sqrt(re.dot(re) + im.dot(im))
             if nrm > 0.0:
                 factors[k] = env / nrm
             value = nrm * nrm
@@ -202,14 +211,15 @@ def optimize_product(
 def _angle_grid(resolution: int) -> np.ndarray:
     # Single-qubit factors on a Bloch-sphere grid, polar angle in [0, pi]
     # inclusive and azimuth in [0, 2pi), with the global phase of each
-    # factor fixed by making c0 real >= 0.
+    # factor fixed by making c0 real >= 0.  Row i * resolution + j holds
+    # (theta_i, phi_j).  Built by broadcasting into the result, so it
+    # holds the grid and O(resolution) besides.
     theta = np.linspace(0.0, math.pi, resolution)
     phi = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    grid = np.empty((resolution * resolution, 2), dtype=np.complex128)
-    grid[:, 0] = np.cos(tt / 2.0).ravel()
-    grid[:, 1] = (np.sin(tt / 2.0) * np.exp(1j * pp)).ravel()
-    return grid
+    grid = np.empty((resolution, resolution, 2), dtype=np.complex128)
+    grid[:, :, 0] = np.cos(theta / 2.0)[:, None]
+    np.multiply(np.sin(theta / 2.0)[:, None], np.exp(1j * phi), out=grid[:, :, 1])
+    return grid.reshape(-1, 2)
 
 
 def _oracle_arguments(n: int, resolution) -> int:
@@ -219,15 +229,32 @@ def _oracle_arguments(n: int, resolution) -> int:
     return _as_int_in(resolution, "resolution", 16, MAX_RESOLUTION)
 
 
+def _largest_eigenvalue(rows: np.ndarray) -> float:
+    # Each row [a, b, c, d] is a remainder M = [[a, b], [c, d]]; returns the
+    # largest eigenvalue of M M^dagger = [[p, x], [conj(x), q]] over all
+    # rows, in closed form.  Both terms are >= 0, so nothing cancels.
+    sq = rows.real**2 + rows.imag**2
+    p = sq[:, 0] + sq[:, 1]
+    q = sq[:, 2] + sq[:, 3]
+    x = rows[:, 0] * np.conj(rows[:, 2]) + rows[:, 1] * np.conj(rows[:, 3])
+    half_gap = (p - q) / 2.0
+    lam = (p + q) / 2.0 + np.sqrt(half_gap * half_gap + (x.real**2 + x.imag**2))
+    return float(np.max(lam))
+
+
 def grid_search_oracle(state: QuantumState, resolution: int) -> float:
     """Independent lower bound on P_max for n <= 3 by exhaustive search.
 
     The last two qubits are finished exactly: for a fixed first factor
-    the best overlap over the remaining two is the largest singular value
-    squared of the 2x2 remainder (LAPACK SVD, no alternating updates).
-    So the value is exact for n <= 2.  For n = 3 the first qubit runs
-    over a resolution x resolution polar/azimuthal grid, and the bound
-    approaches P_max as the resolution grows.
+    the best overlap over the remaining two is the largest eigenvalue of
+    M M^dagger, M the 2x2 remainder [[a, b], [c, d]].  With
+    p = |a|^2 + |b|^2, q = |c|^2 + |d|^2 and x = a conj(c) + b conj(d) it
+    is (p + q)/2 + sqrt(((p - q)/2)^2 + |x|^2), a sum of two non-negative
+    terms, so it does not cancel (no alternating updates).  So the value
+    is exact for n <= 2.  For n = 3 the first qubit runs over a
+    resolution x resolution polar/azimuthal grid, finished
+    ``_ORACLE_BLOCK`` grid points at a time, and the bound approaches
+    P_max as the resolution grows.
     """
     resolution = _oracle_arguments(state.n, resolution)
 
@@ -236,10 +263,14 @@ def grid_search_oracle(state: QuantumState, resolution: int) -> float:
         return float(np.sum(np.abs(amps) ** 2))
 
     remainder = amps.reshape(2, -1)
-    if state.n == 3:
-        remainder = np.conj(_angle_grid(resolution)) @ remainder  # (G, 4)
-    singular = np.linalg.svd(remainder.reshape(-1, 2, 2), compute_uv=False)
-    return float(np.max(singular[:, 0])) ** 2
+    if state.n == 2:
+        return _largest_eigenvalue(remainder.reshape(1, 4))
+    grid = _angle_grid(resolution)
+    np.conjugate(grid, out=grid)
+    return max(
+        _largest_eigenvalue(grid[start : start + _ORACLE_BLOCK] @ remainder)
+        for start in range(0, len(grid), _ORACLE_BLOCK)
+    )
 
 
 def apply_local_unitaries(state: QuantumState, unitaries) -> QuantumState:

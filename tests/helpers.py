@@ -5,6 +5,9 @@ step: they allocate a new state per half-step and take the mean with
 ``np.mean``, where the package's kernels update in place and carry the
 register sum.  ``reference_load_state`` is the suite's independent
 state-file loader: it decodes the whole document with ``json.load``.
+``reference_grid_search_oracle`` finishes the Groverian grid oracle with
+LAPACK's 2x2 SVD instead of the closed form, and ``reference_ascend`` is
+the alternating ascent written with ``np.linalg.norm`` and ``np.outer``.
 """
 
 import itertools
@@ -23,6 +26,7 @@ from groverdyn import (
     build_state,
     optimize_product,
 )
+from groverdyn import groverian
 from groverdyn.core import STATE_FILE_NORM_ATOL, _as_qubit_count, _check_compatible
 
 
@@ -84,6 +88,51 @@ def reference_load_state(path) -> QuantumState:
     if not abs(norm_sq - 1.0) <= STATE_FILE_NORM_ATOL:
         raise ValueError(f"norm^2 = {norm_sq!r}")
     return QuantumState.renormalized(n, amps)
+
+
+def reference_grid_search_oracle(state: QuantumState, resolution: int) -> float:
+    """``grid_search_oracle`` as it was with an SVD finish.
+
+    Each 2x2 remainder's largest singular value squared, from one batched
+    ``np.linalg.svd`` call over the whole grid.
+    """
+    resolution = groverian._oracle_arguments(state.n, resolution)
+    amps = state.amplitudes
+    if state.n == 1:
+        return float(np.sum(np.abs(amps) ** 2))
+    remainder = amps.reshape(2, -1)
+    if state.n == 3:
+        remainder = np.conj(groverian._angle_grid(resolution)) @ remainder
+    singular = np.linalg.svd(remainder.reshape(-1, 2, 2), compute_uv=False)
+    return float(np.max(singular[:, 0])) ** 2
+
+
+def reference_ascend(psi_t: np.ndarray, factors: np.ndarray):
+    """``groverian._ascend`` as it was, with ``np.linalg.norm`` and ``np.outer``."""
+    n = psi_t.ndim
+    factors = factors.copy()
+    history = []
+    value = 0.0
+    converged = False
+    for _ in range(groverian.MAX_SWEEPS):
+        previous = value
+        rights = [np.ones(1, dtype=np.complex128)]
+        for c in np.conj(factors[:0:-1]):
+            rights.append(np.outer(c, rights[-1]).ravel())
+        left = psi_t
+        for k in range(n):
+            left = left.reshape(2, -1)
+            env = left @ rights[n - 1 - k]
+            nrm = float(np.linalg.norm(env))
+            if nrm > 0.0:
+                factors[k] = env / nrm
+            value = nrm * nrm
+            history.append(value)
+            left = np.conj(factors[k]) @ left
+        if value - previous < groverian.SWEEP_TOL:
+            converged = True
+            break
+    return value, factors, converged, history
 
 
 def marked_split_cases() -> dict[str, tuple[QuantumState, MarkedSet]]:

@@ -38,6 +38,13 @@ def test_state_rejects_bad_norm():
         QuantumState(1, np.array([np.nan, 0.5], dtype=complex))
 
 
+@pytest.mark.filterwarnings("error")
+def test_state_with_an_entry_too_large_to_square_is_refused_without_a_warning():
+    # 1e200 squares to inf: the norm check refuses it, and numpy warns of nothing.
+    with pytest.raises(ValueError, match="norm\\^2 = inf"):
+        QuantumState(1, np.array([1e200, 0.0]))
+
+
 def test_state_rejects_n_zero():
     with pytest.raises(ValueError):
         QuantumState(0, np.array([1.0], dtype=complex))

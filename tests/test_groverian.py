@@ -19,7 +19,13 @@ from groverdyn import (
 )
 from groverdyn import groverian
 from groverdyn.groverian import _ascend
-from helpers import local_unitary_invariance_check, random_state
+from helpers import (
+    local_unitary_invariance_check,
+    random_state,
+    reference_ascend,
+    reference_grid_search_oracle,
+    traced_peak,
+)
 
 
 def random_unitary(rng):
@@ -48,6 +54,13 @@ def test_product_state_validation():
         ProductState(np.tile([1.0, 0.0], (25, 1)))
     with pytest.raises(ValueError, match=r"n must be in \[1, 24\], got 0"):
         ProductState(np.empty((0, 2)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_product_state_with_an_entry_too_large_to_square_is_refused_without_a_warning():
+    # 1e200 squares to inf: the norm check refuses it, and numpy warns of nothing.
+    with pytest.raises(ValueError, match="unit norm"):
+        ProductState(np.array([[1e200, 0]]))
 
 
 def test_product_state_expansion_msb_first():
@@ -193,6 +206,65 @@ def test_optimizer_consistent_with_oracle_small_n():
             p_opt = optimize_product(state, restarts=12, seed=1).p_max
             assert p_opt >= grid_search_oracle(state, 48) - 1e-3
             assert p_opt <= 1 + 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_ascent_matches_the_reference_bit_for_bit(n, seed):
+    # norm and outer are inlined in _ascend; the values, factors and every
+    # update of the history stay the same bits.
+    rng = np.random.default_rng(seed)
+    psi_t = random_state(n, rng).amplitudes.reshape((2,) * n)
+    factors = groverian._random_factors(n, rng)
+    value, out, converged, history = _ascend(psi_t, factors)
+    ref_value, ref_out, ref_converged, ref_history = reference_ascend(psi_t, factors)
+    assert value == ref_value
+    assert np.array_equal(out, ref_out)
+    assert converged == ref_converged
+    assert history == ref_history
+
+
+def _degenerate_state(kind, n, rng):
+    # Remainders whose 2x2 singular values are equal or one of whose rows is zero.
+    if kind == "bell":
+        pair = np.array([1, 0, 0, 1]) / math.sqrt(2)
+        if n == 2:
+            return QuantumState(2, pair.astype(complex))
+        return QuantumState(3, np.kron(np.array([1, 1]) / math.sqrt(2), pair).astype(complex))
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    # Every amplitude with the second-to-last bit set is zero.
+    amps.reshape(-1, 2, 2)[:, 1, :] = 0
+    return QuantumState.renormalized(n, amps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["haar", "product", "ghz", "w", "bell", "zero-row"]),
+    n=st.integers(1, 3),
+    resolution=st.integers(16, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_oracle_matches_the_svd_reference(kind, n, resolution, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "haar":
+        state = random_state(n, rng)
+    elif kind == "product":
+        state = ProductState(groverian._random_factors(n, rng)).to_state()
+    elif kind in ("ghz", "w"):
+        state = build_state(kind, n)
+    else:
+        n = max(n, 2)
+        state = _degenerate_state(kind, n, rng)
+    closed = grid_search_oracle(state, resolution)
+    assert abs(closed - reference_grid_search_oracle(state, resolution)) <= 1e-14
+
+
+def test_oracle_memory_stays_within_96_bytes_a_grid_point():
+    # README's bound; an unblocked closed-form finish held about 160.
+    state = random_state(3, np.random.default_rng(60))
+    grid_search_oracle(state, 16)
+    peak, _ = traced_peak(lambda: grid_search_oracle(state, 400))
+    assert peak <= 96 * 400**2 + 64 * 1024, peak
 
 
 def test_oracle_near_one_for_product_states():
