@@ -143,7 +143,8 @@ def _ascend(
             left = left.reshape(2, -1)
             env = left @ rights[n - 1 - k]
             # np.linalg.norm's own sum, without its wrapper: the same BLAS
-            # dot products, so the same bits.
+            # dot products, so the same bits.  Plain Python arithmetic
+            # rounds differently from BLAS's fused multiply-add.
             re, im = env.real, env.imag
             nrm = math.sqrt(re.dot(re) + im.dot(im))
             if nrm > 0.0:
@@ -247,14 +248,14 @@ def grid_search_oracle(state: QuantumState, resolution: int) -> float:
 
     The last two qubits are finished exactly: for a fixed first factor
     the best overlap over the remaining two is the largest eigenvalue of
-    M M^dagger, M the 2x2 remainder [[a, b], [c, d]].  With
-    p = |a|^2 + |b|^2, q = |c|^2 + |d|^2 and x = a conj(c) + b conj(d) it
-    is (p + q)/2 + sqrt(((p - q)/2)^2 + |x|^2), a sum of two non-negative
-    terms, so it does not cancel (no alternating updates).  So the value
+    M M^dagger, M the 2x2 remainder [[a, b], [c, d]], in closed form (no
+    alternating updates).  With p = |a|^2 + |b|^2, q = |c|^2 + |d|^2 and
+    x = a conj(c) + b conj(d) it is (p + q)/2 + sqrt(((p - q)/2)^2 + |x|^2),
+    a sum of two non-negative terms, so it does not cancel.  So the value
     is exact for n <= 2.  For n = 3 the first qubit runs over a
-    resolution x resolution polar/azimuthal grid, finished
-    ``_ORACLE_BLOCK`` grid points at a time, and the bound approaches
-    P_max as the resolution grows.
+    resolution x resolution polar/azimuthal grid, finished a block of
+    grid points at a time, and the bound approaches P_max as the
+    resolution grows.
     """
     resolution = _oracle_arguments(state.n, resolution)
 

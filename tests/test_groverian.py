@@ -260,8 +260,10 @@ def test_oracle_matches_the_svd_reference(kind, n, resolution, seed):
 
 
 def test_oracle_memory_stays_within_96_bytes_a_grid_point():
-    # README's bound; an unblocked closed-form finish held about 160.
+    # The SVD finish held 96 bytes a grid point; the blocked closed form
+    # holds about 34 at this size, and an unblocked one held about 160.
     state = random_state(3, np.random.default_rng(60))
+    # A first call, so that numpy's one-time allocations are not counted.
     grid_search_oracle(state, 16)
     peak, _ = traced_peak(lambda: grid_search_oracle(state, 400))
     assert peak <= 96 * 400**2 + 64 * 1024, peak
@@ -301,7 +303,7 @@ def test_oracle_rejects_large_n_and_small_resolution():
 
 
 def test_oracle_resolution_over_the_limit_is_refused_before_the_grid():
-    # At n = 3 the grid holds about 96 bytes a point: 9.6 GB at 10,000.
+    # At n = 3 the grid holds 32 bytes a point: 3.2 GB at 10,000.
     state = build_state("w", 3)
     with mock.patch.object(groverian, "_angle_grid", side_effect=AssertionError("gridded")):
         with pytest.raises(ValueError, match=r"resolution must be in \[16, 1000\], got 1001"):
