@@ -59,6 +59,16 @@ python -c 'import json; d = json.load(open("ghz3-groverian.json")); o = d["oracl
 # On the largest grid MAX_RESOLUTION admits, the oracle stays a lower
 # bound on W's P_max = 4/9.
 python -c 'from groverdyn import build_state, grid_search_oracle; v = grid_search_oracle(build_state("w", 3), 1000); assert v <= 4 / 9 + 1e-12, v'
+# The optimizer ascends its starts in lockstep, _ASCENT_CELLS >> n = 1024
+# a group at n = 8, so these 301 starts are one group.  A rerun prints the
+# same bytes, and GHZ's P_max is 1/2.
+groverdyn groverian --state ghz --n 8 --restarts 300 --seed 5 > ghz8-groverian.json
+groverdyn groverian --state ghz --n 8 --restarts 300 --seed 5 > ghz8-groverian-again.json
+cmp ghz8-groverian.json ghz8-groverian-again.json
+python -c 'import json; d = json.load(open("ghz8-groverian.json")); assert abs(d["p_max"] - 0.5) <= 1e-12, d'
+# All 10,001 starts at n = 3 in one group; W's P_max is 4/9.
+timeout 60 groverdyn groverian --state w --n 3 --restarts 10000 > w3-groverian.json
+python -c 'import json; d = json.load(open("w3-groverian.json")); assert abs(d["p_max"] - 4 / 9) <= 1e-9, d'
 # 100001 sampled sets exceed the sweep limit: configuration error, exit code 3.
 code=0
 groverdyn avg-success --state eta --n 12 --r 2 --samples 100001 --seed 0 --out over.json || code=$?

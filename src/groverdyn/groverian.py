@@ -4,7 +4,8 @@ squared overlap between a state and any n-qubit product state.
 The maximization over local unitaries reduces to a maximization over
 product states, which is what is implemented: an alternating optimizer
 whose single-qubit update is an exact argmax (the normalized
-contraction of the state against the other factors), plus an
+contraction of the state against the other factors), run from many
+starts in lockstep with the bits each start reaches on its own, plus an
 independent oracle for n <= 3 that grids at most one qubit and finishes
 the last two exactly, with the closed-form largest eigenvalue of a 2x2
 M M^dagger.
@@ -13,6 +14,7 @@ M M^dagger.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -34,6 +36,13 @@ MAX_RESTARTS = 10_000
 
 # Largest grid_search_oracle resolution: about 32 bytes a grid point at n = 3.
 MAX_RESOLUTION = 1000
+
+# Amplitudes one lockstep ascent holds: optimize_product ascends
+# _ASCENT_CELLS >> n starts at a time (at least one), in one buffer of
+# 16 bytes x _ASCENT_CELLS = 4 MiB.  A larger cap bought no time at
+# n = 14-18 and held more; a smaller one split n = 14-16 into groups of
+# one or two lanes, which lost to the stacked calls' own overhead.
+_ASCENT_CELLS = 1 << 18
 
 # Grid points grid_search_oracle finishes at a time.
 _ORACLE_BLOCK = 1 << 11
@@ -105,9 +114,13 @@ def product_overlap(state: QuantumState, product: ProductState) -> float:
     return abs(_overlap_amplitude(state.amplitudes, product.qubit_states)) ** 2
 
 
-def _random_factors(n: int, rng: np.random.Generator) -> np.ndarray:
-    f = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-    return f / np.linalg.norm(f, axis=1, keepdims=True)
+def _random_factors(n: int, rng: np.random.Generator, *lanes: int) -> np.ndarray:
+    # An (*lanes, n, 2) stack of random unit factors.  Each start draws its
+    # real parts, then its imaginary parts, so a stack of L starts takes
+    # the same numbers from rng as L draws of one start.
+    draws = rng.standard_normal((*lanes, 2, n, 2))
+    f = draws[..., 0, :, :] + 1j * draws[..., 1, :, :]
+    return f / np.linalg.norm(f, axis=-1, keepdims=True)
 
 
 def _basis_factors(n: int, index: int) -> np.ndarray:
@@ -118,44 +131,137 @@ def _basis_factors(n: int, index: int) -> np.ndarray:
     return f
 
 
+def _sweeper(psi_t: np.ndarray, factors: np.ndarray) -> Callable[[], np.ndarray]:
+    # One Gauss-Seidel sweep over an (n, lanes, 2) stack of factors, as a
+    # function of no arguments that updates the factors in place and
+    # returns the (n, lanes) norms of the updates.  It reuses one buffer of
+    # lanes x 2^n amplitudes from sweep to sweep, cut into regions:
+    # region j, of lanes x 2^j, holds for every lane the product of the
+    # conjugated factors of the last j qubits, built at the start of each
+    # sweep.  Qubit k reads region n-1-k for its environment and then
+    # writes its left contraction there, so no other buffer is needed.
+    # The regions do not interleave, so no output overlaps an input.
+    n, lanes, _ = factors.shape
+    conj = np.empty_like(factors)
+    buffer = np.empty(lanes << n, dtype=np.complex128)
+    regions = [buffer[lanes << j : lanes << (j + 1)].reshape(lanes, 1 << j) for j in range(n)]
+    regions[0][:] = 1.0
+    # Region j is conj(c_(n-j)) times region j - 1, one broadcast product a j.
+    products = [
+        (conj[n - j, :, :, None], regions[j - 1][:, None, :], regions[j].reshape(lanes, 2, -1))
+        for j in range(1, n)
+    ]
+    # Qubit k's (left, products, factor as a column and as a row, contracted
+    # left); left is phi itself for k = 0, and the last qubit's contraction
+    # is not needed.
+    qubits = []
+    left = psi_t.reshape(1, 2, -1)
+    for k in range(n):
+        region = regions[n - 1 - k]
+        contracted = region[:, None, :] if k < n - 1 else None
+        qubits.append((left, region[:, :, None], factors[k, :, :, None], factors[k, :, None, :], contracted))
+        if k < n - 1:
+            left = region.reshape(lanes, 2, -1)
+    env = np.empty((lanes, 2, 1), dtype=np.complex128)
+    # The real and the imaginary parts of env, as columns and as rows.
+    parts = env.view(np.float64).reshape(lanes, 2, 2).transpose(2, 0, 1)[..., None]
+    parts_t = parts.transpose(0, 1, 3, 2)
+    dots = np.empty((2, lanes, 1, 1))
+    moved = np.empty((lanes, 1, 1), dtype=bool)
+    row = np.empty((lanes, 1, 2), dtype=np.complex128)
+
+    def sweep() -> np.ndarray:
+        np.conjugate(factors, out=conj)
+        for c, right, out in products:
+            np.multiply(c, right, out=out)
+        norms = np.empty((n, lanes))
+        for nrm, (left, right, factor, factor_row, contracted) in zip(norms[:, :, None, None], qubits):
+            np.matmul(left, right, out=env)
+            # np.linalg.norm's own sum: a stacked (1, 2) @ (2, 1) float
+            # matmul makes the BLAS dot that re.dot(re) makes on one start,
+            # for the real and the imaginary part of every lane.
+            np.matmul(parts_t, parts, out=dots)
+            np.add(dots[0], dots[1], out=nrm)
+            np.sqrt(nrm, out=nrm)
+            # Complex by float, as env / nrm divides for one start; a lane
+            # whose environment is zero keeps its factor.
+            np.greater(nrm, 0.0, out=moved)
+            np.divide(env, nrm, out=factor, where=moved)
+            if contracted is not None:
+                np.conjugate(factor_row, out=row)
+                np.matmul(row, left, out=contracted)
+        return norms
+
+    return sweep
+
+
+def _histories(blocks: list, sweeps: np.ndarray, n: int) -> Iterator[list[float]]:
+    # Each lane's update-by-update values, lane by lane, from the (ids,
+    # (n, active) block) a sweep that _ascend records: lane i's are its
+    # entries in the first sweeps[i] blocks.  A generator, so that nothing
+    # is laid out or made a list for a caller that does not read them.
+    offsets = np.zeros(len(sweeps) + 1, dtype=np.intp)
+    np.cumsum(sweeps * n, out=offsets[1:])
+    flat = np.empty(offsets[-1])
+    columns = np.arange(n)
+    for sweep, (ids, block) in enumerate(blocks):
+        flat[(offsets[ids] + sweep * n)[:, None] + columns] = block.T
+    for a, b in zip(offsets[:-1], offsets[1:]):
+        yield flat[a:b].tolist()
+
+
 def _ascend(
-    psi_t: np.ndarray, factors: np.ndarray
-) -> tuple[float, np.ndarray, bool, list[float]]:
-    # Alternating exact single-qubit updates in Gauss-Seidel order; returns
-    # the update-by-update overlap history, which is nondecreasing up to
-    # rounding.  Each sweep carries phi contracted from the left with the
-    # factors already updated, and builds the products of the factors not
-    # yet updated once, from the last qubit backwards: rights[j] spans the
-    # last j qubits.  Qubit k's environment v, with <s|phi> = <c_k|v>, is
-    # then one (2, 2^(n-1-k)) matvec, so a sweep costs O(N).
+    psi_t: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Iterator[list[float]]]:
+    # Alternating exact single-qubit updates in Gauss-Seidel order, run in
+    # lockstep from an (L, n, 2) stack of starts; returns each lane's value,
+    # factors and converged flag, and an iterator over the lanes'
+    # update-by-update overlap histories, which are nondecreasing up to
+    # rounding.  Each sweep carries phi contracted
+    # from the left with the factors already updated, and builds the
+    # products of the factors not yet updated once, from the last qubit
+    # backwards.  Qubit k's environment v, with <s|phi> = <c_k|v>, is then
+    # one (2, 2^(n-1-k)) matvec a lane, so a sweep costs O(L N).  Every
+    # stacked matmul makes one BLAS gemv or dot a lane, the call a single
+    # start makes, so each lane keeps the bits of an ascent on its own.
+    # A lane leaves the stack at the first sweep that gains less than
+    # SWEEP_TOL, or after MAX_SWEEPS.
     n = psi_t.ndim
-    factors = factors.copy()
-    history: list[float] = []
-    value = 0.0
-    converged = False
-    for _ in range(MAX_SWEEPS):
+    lanes = len(starts)
+    values = np.zeros(lanes)
+    factors_out = np.array(starts, dtype=np.complex128)
+    converged = np.zeros(lanes, dtype=bool)
+    sweeps = np.zeros(lanes, dtype=np.intp)
+    # The active lanes' original indices, their factors qubit by qubit and
+    # their value after the last sweep; one (n, active) block of values a sweep.
+    active = np.arange(lanes)
+    factors = factors_out.transpose(1, 0, 2).copy()
+    previous = np.zeros(lanes)
+    blocks = []
+    sweep_once = None
+    for sweep in range(1, MAX_SWEEPS + 1):
+        if sweep_once is None:
+            sweep_once = _sweeper(psi_t, factors)
+        norms = sweep_once()
+        block = norms * norms
+        blocks.append((active, block))
+        value = block[n - 1]
+        done = value - previous < SWEEP_TOL
+        stop = done | (sweep == MAX_SWEEPS)
+        if np.count_nonzero(stop):
+            gone = active[stop]
+            values[gone] = value[stop]
+            factors_out[gone] = factors[:, stop].transpose(1, 0, 2)
+            converged[gone] = done[stop]
+            sweeps[gone] = sweep
+            keep = ~stop
+            active, factors, value = active[keep], factors[:, keep], value[keep]
+            # Its buffers go before the next stack's are made.
+            sweep_once = None
+            if not len(active):
+                break
         previous = value
-        rights = [np.ones(1, dtype=np.complex128)]
-        for c in np.conj(factors[:0:-1]):
-            rights.append((c[:, None] * rights[-1]).ravel())
-        left = psi_t
-        for k in range(n):
-            left = left.reshape(2, -1)
-            env = left @ rights[n - 1 - k]
-            # np.linalg.norm's own sum, without its wrapper: the same BLAS
-            # dot products, so the same bits.  Plain Python arithmetic
-            # rounds differently from BLAS's fused multiply-add.
-            re, im = env.real, env.imag
-            nrm = math.sqrt(re.dot(re) + im.dot(im))
-            if nrm > 0.0:
-                factors[k] = env / nrm
-            value = nrm * nrm
-            history.append(value)
-            left = np.conj(factors[k]) @ left
-        if value - previous < SWEEP_TOL:
-            converged = True
-            break
-    return value, factors, converged, history
+    return values, factors_out, converged, _histories(blocks, sweeps, n)
 
 
 def _optimizer_arguments(restarts, seed) -> tuple[int, int]:
@@ -176,6 +282,9 @@ def optimize_product(
     best value over all starts is reported; ties keep the earliest start.
     An ascent stops after ``MAX_SWEEPS`` sweeps or at the first sweep that
     gains less than ``SWEEP_TOL``; ``converged`` tells which, for the best.
+    The starts ascend in lockstep, in groups of ``_ASCENT_CELLS >> n``
+    (at least one), so a group holds about 16 bytes x ``_ASCENT_CELLS`` of
+    products at once; each start ends with the bits it would reach alone.
     """
     restarts, seed = _optimizer_arguments(restarts, seed)
     n = state.n
@@ -183,20 +292,27 @@ def optimize_product(
     rng = np.random.default_rng(seed)
 
     warm = _basis_factors(n, int(np.argmax(np.abs(state.amplitudes))))
+    group = max(1, _ASCENT_CELLS >> n)
 
     best_value = -1.0
     best_factors = warm
     best_converged = False
     per_restart: list[float] = []
-    for i in range(restarts + 1):
-        # Draw each start when its ascent begins, so one start is held at a time.
-        factors = warm if i == 0 else _random_factors(n, rng)
-        value, out_factors, converged, _ = _ascend(psi_t, factors)
-        per_restart.append(value)
-        if value > best_value:
-            best_value = value
-            best_factors = out_factors
-            best_converged = converged
+    for first in range(0, restarts + 1, group):
+        # Draw each group's starts when its ascent begins, in the order of
+        # the starts, so one group is held at a time.
+        end = min(first + group, restarts + 1)
+        starts = _random_factors(n, rng, end - max(first, 1))
+        if first == 0:
+            starts = np.concatenate([warm[None], starts])
+        values, out_factors, converged = _ascend(psi_t, starts)[:3]
+        per_restart.extend(values.tolist())
+        # argmax takes the first of equal values, so ties keep the earliest start.
+        lane = int(np.argmax(values))
+        if values[lane] > best_value:
+            best_value = float(values[lane])
+            best_factors = out_factors[lane]
+            best_converged = bool(converged[lane])
 
     p_max = best_value
     return GroverianResult(

@@ -6,12 +6,15 @@ step: they allocate a new state per half-step and take the mean with
 register sum.  ``reference_load_state`` is the suite's independent
 state-file loader: it decodes the whole document with ``json.load``.
 ``reference_grid_search_oracle`` finishes the Groverian grid oracle with
-LAPACK's 2x2 SVD instead of the closed form, and ``reference_ascend`` is
-the alternating ascent written with ``np.linalg.norm`` and ``np.outer``.
+LAPACK's 2x2 SVD instead of the closed form.  ``reference_ascend`` is
+the alternating ascent from one start at a time, written with
+``np.linalg.norm`` and ``np.outer``, and ``reference_optimize_product``
+runs the optimizer's starts through it one after another.
 """
 
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -133,6 +136,39 @@ def reference_ascend(psi_t: np.ndarray, factors: np.ndarray):
             converged = True
             break
     return value, factors, converged, history
+
+
+def reference_optimize_product(state: QuantumState, restarts: int = 32, seed: int = 0):
+    """``optimize_product`` as it was, one ascent per start, each start drawn when it begins."""
+    restarts, seed = groverian._optimizer_arguments(restarts, seed)
+    n = state.n
+    psi_t = state.amplitudes.reshape((2,) * n)
+    rng = np.random.default_rng(seed)
+    warm = groverian._basis_factors(n, int(np.argmax(np.abs(state.amplitudes))))
+    best_value = -1.0
+    best_factors = warm
+    best_converged = False
+    per_restart = []
+    for i in range(restarts + 1):
+        if i == 0:
+            factors = warm
+        else:
+            factors = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+            factors = factors / np.linalg.norm(factors, axis=1, keepdims=True)
+        value, out_factors, converged, _ = reference_ascend(psi_t, factors)
+        per_restart.append(value)
+        if value > best_value:
+            best_value = value
+            best_factors = out_factors
+            best_converged = converged
+    return groverian.GroverianResult(
+        p_max=best_value,
+        g=math.sqrt(max(0.0, 1.0 - best_value)),
+        argmax=groverian.ProductState(best_factors),
+        restarts_used=restarts + 1,
+        converged=best_converged,
+        best_per_restart=tuple(per_restart),
+    )
 
 
 def marked_split_cases() -> dict[str, tuple[QuantumState, MarkedSet]]:

@@ -24,6 +24,7 @@ from helpers import (
     random_state,
     reference_ascend,
     reference_grid_search_oracle,
+    reference_optimize_product,
     traced_peak,
 )
 
@@ -174,7 +175,7 @@ def test_single_qubit_updates_are_monotone():
     psi_t = state.amplitudes.reshape((2,) * 5)
     factors = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
     factors /= np.linalg.norm(factors, axis=1, keepdims=True)
-    _, _, _, history = _ascend(psi_t, factors)
+    _, _, _, (history,) = _ascend(psi_t, factors[None])
     for earlier, later in zip(history, history[1:]):
         assert later >= earlier - 1e-14
 
@@ -190,7 +191,7 @@ def test_ascent_properties_on_haar_states(n, seed):
     factors = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     factors /= np.linalg.norm(factors, axis=1, keepdims=True)
     psi_t = state.amplitudes.reshape((2,) * n)
-    _, _, _, history = _ascend(psi_t, factors)
+    _, _, _, (history,) = _ascend(psi_t, factors[None])
     for earlier, later in zip(history, history[1:]):
         assert later >= earlier - 1e-14
 
@@ -216,12 +217,135 @@ def test_ascent_matches_the_reference_bit_for_bit(n, seed):
     rng = np.random.default_rng(seed)
     psi_t = random_state(n, rng).amplitudes.reshape((2,) * n)
     factors = groverian._random_factors(n, rng)
-    value, out, converged, history = _ascend(psi_t, factors)
+    (value,), (out,), (converged,), (history,) = _ascend(psi_t, factors[None])
     ref_value, ref_out, ref_converged, ref_history = reference_ascend(psi_t, factors)
     assert value == ref_value
     assert np.array_equal(out, ref_out)
     assert converged == ref_converged
     assert history == ref_history
+
+
+def _ascent_case(kind, n, lanes, rng):
+    # A state and an (L, n, 2) stack of starts.  For "basis" some lanes
+    # start on the basis state with every bit flipped, orthogonal to the
+    # state on every qubit, so their environments are zero from n = 2 on.
+    starts = groverian._random_factors(n, rng, lanes)
+    if kind == "haar":
+        return random_state(n, rng), starts
+    if kind in ("ghz", "w"):
+        return build_state(kind, n), starts
+    if kind == "product":
+        return ProductState(groverian._random_factors(n, rng)).to_state(), starts
+    k = int(rng.integers(1 << n))
+    flipped = groverian._basis_factors(n, k ^ ((1 << n) - 1))
+    starts[rng.random(lanes) < 0.5] = flipped
+    return build_state("basis", n, k=k), starts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["haar", "ghz", "w", "product", "basis"]),
+    n=st.integers(1, 8),
+    lanes=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_lane_matches_the_sequential_ascent_bit_for_bit(kind, n, lanes, seed):
+    rng = np.random.default_rng(seed)
+    state, starts = _ascent_case(kind, n, lanes, rng)
+    psi_t = state.amplitudes.reshape((2,) * n)
+    values, factors, converged, histories = _ascend(psi_t, starts)
+    histories = list(histories)
+    assert values.shape == converged.shape == (lanes,) and factors.shape == starts.shape
+    assert len(histories) == lanes
+    for j in range(lanes):
+        value, out, ref_converged, history = reference_ascend(psi_t, starts[j])
+        assert values[j] == value
+        assert factors[j].tobytes() == out.tobytes()
+        assert converged[j] == ref_converged
+        assert histories[j] == history
+
+
+def test_a_lane_whose_environment_is_zero_keeps_its_factor():
+    # Basis |11> against the start |00>: every environment is zero, so the
+    # lane keeps its start and its value 0, beside a lane that moves.
+    psi_t = build_state("basis", 2, k=3).amplitudes.reshape(2, 2)
+    starts = np.array([[[1, 0], [1, 0]], [[0.6, 0.8], [1, 0]]], dtype=complex)
+    values, factors, converged, histories = _ascend(psi_t, starts)
+    histories = list(histories)
+    assert values.tolist() == [0.0, 1.0] and converged.all()
+    assert np.array_equal(factors[0], starts[0])
+    assert histories[0] == [0.0, 0.0]
+    for j in range(2):
+        value, out, _, history = reference_ascend(psi_t, starts[j])
+        assert values[j] == value and factors[j].tobytes() == out.tobytes()
+        assert histories[j] == history
+
+
+def _assert_same_result(result, ref):
+    assert result.p_max == ref.p_max and type(result.p_max) is float
+    assert result.g == ref.g
+    assert result.argmax.qubit_states.tobytes() == ref.argmax.qubit_states.tobytes()
+    assert result.converged == ref.converged and type(result.converged) is bool
+    assert result.restarts_used == ref.restarts_used
+    assert result.best_per_restart == ref.best_per_restart
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    restarts=st.integers(1, 40),
+    group=st.sampled_from([1, 2, 3, None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_optimizer_is_unchanged_across_group_boundaries(n, restarts, group, seed):
+    # _ASCENT_CELLS >> n lanes a group: 1, 2 or 3 lanes, or every start in one.
+    cells = (restarts + 1 if group is None else group) << n
+    state = random_state(n, np.random.default_rng(seed))
+    with mock.patch.object(groverian, "_ASCENT_CELLS", cells):
+        result = optimize_product(state, restarts=restarts, seed=seed)
+    _assert_same_result(result, reference_optimize_product(state, restarts=restarts, seed=seed))
+
+
+def test_ties_keep_the_earliest_start_across_groups():
+    # On |000>, starts of +-1 and 0 are contracted exactly: every start
+    # reaches 1.0 exactly, with factors of its own signs.  Groups of two
+    # put ties on both sides of each boundary; the warm start, first,
+    # must win.
+    def signed_starts(n, rng, *lanes):
+        starts = np.zeros((*lanes, n, 2), dtype=complex)
+        starts[..., 0] = np.where(rng.standard_normal((*lanes, n)) < 0, -1.0, 1.0)
+        return starts
+
+    n = 3
+    state = build_state("basis", n, k=0)
+    with mock.patch.object(groverian, "_random_factors", signed_starts):
+        starts = signed_starts(n, np.random.default_rng(3), 5)
+        _, reached, _, _ = _ascend(state.amplitudes.reshape(2, 2, 2), starts)
+        # Every random start ties with the warm start at other factors.
+        assert all(not np.array_equal(f, groverian._basis_factors(n, 0)) for f in reached)
+        with mock.patch.object(groverian, "_ASCENT_CELLS", 2 << n):
+            result = optimize_product(state, restarts=5, seed=3)
+    assert result.best_per_restart == (1.0,) * 6
+    assert result.argmax.qubit_states.tobytes() == groverian._basis_factors(n, 0).tobytes()
+
+
+def test_ascent_memory_is_bounded_by_the_group_cap():
+    # Products and two contractions hold 1.75 x 16 bytes a lane and an
+    # amplitude; a group holds _ASCENT_CELLS amplitudes.
+    state = random_state(14, np.random.default_rng(62))
+    optimize_product(random_state(2, np.random.default_rng(0)), restarts=1)
+    peak, _ = traced_peak(lambda: optimize_product(state, restarts=32, seed=1))
+    assert peak <= 2 * 16 * groverian._ASCENT_CELLS + (1 << 20), peak
+
+
+def test_one_lane_groups_hold_what_the_sequential_optimizer_holds():
+    state = random_state(12, np.random.default_rng(63))
+    optimize_product(random_state(2, np.random.default_rng(0)), restarts=1)
+    with mock.patch.object(groverian, "_ASCENT_CELLS", 1 << 12):
+        peak, result = traced_peak(lambda: optimize_product(state, restarts=3, seed=2))
+    ref_peak, ref = traced_peak(lambda: reference_optimize_product(state, restarts=3, seed=2))
+    _assert_same_result(result, ref)
+    assert peak <= 1.1 * ref_peak, (peak, ref_peak)
 
 
 def _degenerate_state(kind, n, rng):
