@@ -151,9 +151,9 @@ def _sweeper(psi_t: np.ndarray, factors: np.ndarray) -> Callable[[], np.ndarray]
         (conj[n - j, :, :, None], regions[j - 1][:, None, :], regions[j].reshape(lanes, 2, -1))
         for j in range(1, n)
     ]
-    # Qubit k's (left, products, factor as a column and as a row, contracted
-    # left); left is phi itself for k = 0, and the last qubit's contraction
-    # is not needed.
+    # Qubit k's (left, region n-1-k as a column, factor as a column and as
+    # a row, contracted left); left is phi itself for k = 0, and the last
+    # qubit's contraction is not needed.
     qubits = []
     left = psi_t.reshape(1, 2, -1)
     for k in range(n):
@@ -217,15 +217,14 @@ def _ascend(
     # lockstep from an (L, n, 2) stack of starts; returns each lane's value,
     # factors and converged flag, and an iterator over the lanes'
     # update-by-update overlap histories, which are nondecreasing up to
-    # rounding.  Each sweep carries phi contracted
-    # from the left with the factors already updated, and builds the
-    # products of the factors not yet updated once, from the last qubit
-    # backwards.  Qubit k's environment v, with <s|phi> = <c_k|v>, is then
-    # one (2, 2^(n-1-k)) matvec a lane, so a sweep costs O(L N).  Every
-    # stacked matmul makes one BLAS gemv or dot a lane, the call a single
-    # start makes, so each lane keeps the bits of an ascent on its own.
-    # A lane leaves the stack at the first sweep that gains less than
-    # SWEEP_TOL, or after MAX_SWEEPS.
+    # rounding.  Each sweep carries phi contracted from the left with the
+    # factors already updated, and builds the products of the factors not
+    # yet updated once, from the last qubit backwards.  Qubit k's
+    # environment v, with <s|phi> = <c_k|v>, is then one (2, 2^(n-1-k))
+    # matvec a lane, so a sweep costs O(L N).  Every stacked matmul makes
+    # one BLAS gemv or dot a lane, the call a single start makes, so each
+    # lane keeps the bits of an ascent on its own.  A lane leaves the stack
+    # at the first sweep that gains less than SWEEP_TOL, or after MAX_SWEEPS.
     n = psi_t.ndim
     lanes = len(starts)
     values = np.zeros(lanes)
