@@ -103,12 +103,18 @@ class QuantumState:
     def renormalized(cls, n: int, amplitudes) -> "QuantumState":
         """Build a state from unnormalized amplitudes, scaling to unit norm."""
         amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
-        norm = float(np.linalg.norm(amps))
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        if not math.isfinite(norm):
+        # Finite entries whose squares overflow give the norm inf, and
+        # nonzero ones whose squares all underflow give it 0.
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(amps))
+        if 0.0 < norm < math.inf:
+            return cls(n, amps / norm)
+        if not np.isfinite(amps).all():
             raise ValueError(f"cannot normalize amplitudes with norm {norm!r}")
-        return cls(n, amps / norm)
+        if not amps.any():
+            raise ValueError("cannot normalize the zero vector")
+        flow = "underflows to 0" if norm == 0.0 else "overflows to inf"
+        raise ValueError(f"cannot normalize amplitudes: the sum of their squares {flow}")
 
     @classmethod
     def _wrap(cls, n: int, amps: np.ndarray) -> "QuantumState":
@@ -180,7 +186,9 @@ class MarkedSet:
     def mask(self) -> np.ndarray:
         """Boolean mask of length ``num_states``, True on marked indices.
 
-        Nothing in the package reads it; the benchmark's state builders do.
+        Nothing in the package reads it; the benchmark's state builders
+        and the tests (``two_cycle_state``, ``_periodic_input`` and
+        others) do.
         """
         m = np.zeros(self.num_states, dtype=bool)
         m[self.indices_array] = True

@@ -14,7 +14,7 @@ M M^dagger.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce
 
@@ -133,14 +133,14 @@ def _basis_factors(n: int, index: int) -> np.ndarray:
 
 def _sweeper(psi_t: np.ndarray, factors: np.ndarray) -> Callable[[], np.ndarray]:
     # One Gauss-Seidel sweep over an (n, lanes, 2) stack of factors, as a
-    # function of no arguments that updates the factors in place and
-    # returns the (n, lanes) norms of the updates.  It reuses one buffer of
-    # lanes x 2^n amplitudes from sweep to sweep, cut into regions:
-    # region j, of lanes x 2^j, holds for every lane the product of the
-    # conjugated factors of the last j qubits, built at the start of each
-    # sweep.  Qubit k reads region n-1-k for its environment and then
-    # writes its left contraction there, so no other buffer is needed.
-    # The regions do not interleave, so no output overlaps an input.
+    # function of no arguments that updates the factors in place and returns
+    # each lane's value, the squared norm of its last update.  It reuses one
+    # buffer of lanes x 2^n amplitudes from sweep to sweep, cut into
+    # regions: region j, of lanes x 2^j, holds for every lane the product of
+    # the conjugated factors of the last j qubits, built at the start of
+    # each sweep.  Qubit k reads region n-1-k for its environment and then
+    # writes its left contraction there, so no other buffer is needed.  The
+    # regions do not interleave, so no output overlaps an input.
     n, lanes, _ = factors.shape
     conj = np.empty_like(factors)
     buffer = np.empty(lanes << n, dtype=np.complex128)
@@ -167,6 +167,7 @@ def _sweeper(psi_t: np.ndarray, factors: np.ndarray) -> Callable[[], np.ndarray]
     parts = env.view(np.float64).reshape(lanes, 2, 2).transpose(2, 0, 1)[..., None]
     parts_t = parts.transpose(0, 1, 3, 2)
     dots = np.empty((2, lanes, 1, 1))
+    nrm = np.empty((lanes, 1, 1))
     moved = np.empty((lanes, 1, 1), dtype=bool)
     row = np.empty((lanes, 1, 2), dtype=np.complex128)
 
@@ -174,8 +175,7 @@ def _sweeper(psi_t: np.ndarray, factors: np.ndarray) -> Callable[[], np.ndarray]
         np.conjugate(factors, out=conj)
         for c, right, out in products:
             np.multiply(c, right, out=out)
-        norms = np.empty((n, lanes))
-        for nrm, (left, right, factor, factor_row, contracted) in zip(norms[:, :, None, None], qubits):
+        for left, right, factor, factor_row, contracted in qubits:
             np.matmul(left, right, out=env)
             # np.linalg.norm's own sum: a stacked (1, 2) @ (2, 1) float
             # matmul makes the BLAS dot that re.dot(re) makes on one start,
@@ -190,61 +190,38 @@ def _sweeper(psi_t: np.ndarray, factors: np.ndarray) -> Callable[[], np.ndarray]
             if contracted is not None:
                 np.conjugate(factor_row, out=row)
                 np.matmul(row, left, out=contracted)
-        return norms
+        return (nrm * nrm).ravel()
 
     return sweep
 
 
-def _histories(blocks: list, sweeps: np.ndarray, n: int) -> Iterator[list[float]]:
-    # Each lane's update-by-update values, lane by lane, from the (ids,
-    # (n, active) block) a sweep that _ascend records: lane i's are its
-    # entries in the first sweeps[i] blocks.  A generator, so that nothing
-    # is laid out or made a list for a caller that does not read them.
-    offsets = np.zeros(len(sweeps) + 1, dtype=np.intp)
-    np.cumsum(sweeps * n, out=offsets[1:])
-    flat = np.empty(offsets[-1])
-    columns = np.arange(n)
-    for sweep, (ids, block) in enumerate(blocks):
-        flat[(offsets[ids] + sweep * n)[:, None] + columns] = block.T
-    for a, b in zip(offsets[:-1], offsets[1:]):
-        yield flat[a:b].tolist()
-
-
-def _ascend(
-    psi_t: np.ndarray, starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Iterator[list[float]]]:
+def _ascend(psi_t: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Alternating exact single-qubit updates in Gauss-Seidel order, run in
     # lockstep from an (L, n, 2) stack of starts; returns each lane's value,
-    # factors and converged flag, and an iterator over the lanes'
-    # update-by-update overlap histories, which are nondecreasing up to
-    # rounding.  Each sweep carries phi contracted from the left with the
-    # factors already updated, and builds the products of the factors not
-    # yet updated once, from the last qubit backwards.  Qubit k's
-    # environment v, with <s|phi> = <c_k|v>, is then one (2, 2^(n-1-k))
-    # matvec a lane, so a sweep costs O(L N).  Every stacked matmul makes
-    # one BLAS gemv or dot a lane, the call a single start makes, so each
-    # lane keeps the bits of an ascent on its own.  A lane leaves the stack
-    # at the first sweep that gains less than SWEEP_TOL, or after MAX_SWEEPS.
-    n = psi_t.ndim
+    # factors and converged flag.  The value after each update is
+    # nondecreasing up to rounding.  Each sweep carries phi contracted from
+    # the left with the factors already updated, and builds the products of
+    # the factors not yet updated once, from the last qubit backwards.
+    # Qubit k's environment v, with <s|phi> = <c_k|v>, is then one
+    # (2, 2^(n-1-k)) matvec a lane, so a sweep costs O(L N).  Every stacked
+    # matmul makes one BLAS gemv or dot a lane, the call a single start
+    # makes, so each lane keeps the bits of an ascent on its own.  A lane
+    # leaves the stack at the first sweep that gains less than SWEEP_TOL,
+    # or after MAX_SWEEPS.
     lanes = len(starts)
     values = np.zeros(lanes)
     factors_out = np.array(starts, dtype=np.complex128)
     converged = np.zeros(lanes, dtype=bool)
-    sweeps = np.zeros(lanes, dtype=np.intp)
     # The active lanes' original indices, their factors qubit by qubit and
-    # their value after the last sweep; one (n, active) block of values a sweep.
+    # their value after the last sweep.
     active = np.arange(lanes)
     factors = factors_out.transpose(1, 0, 2).copy()
     previous = np.zeros(lanes)
-    blocks = []
     sweep_once = None
     for sweep in range(1, MAX_SWEEPS + 1):
         if sweep_once is None:
             sweep_once = _sweeper(psi_t, factors)
-        norms = sweep_once()
-        block = norms * norms
-        blocks.append((active, block))
-        value = block[n - 1]
+        value = sweep_once()
         done = value - previous < SWEEP_TOL
         stop = done | (sweep == MAX_SWEEPS)
         if np.count_nonzero(stop):
@@ -252,7 +229,6 @@ def _ascend(
             values[gone] = value[stop]
             factors_out[gone] = factors[:, stop].transpose(1, 0, 2)
             converged[gone] = done[stop]
-            sweeps[gone] = sweep
             keep = ~stop
             active, factors, value = active[keep], factors[:, keep], value[keep]
             # Its buffers go before the next stack's are made.
@@ -260,7 +236,7 @@ def _ascend(
             if not len(active):
                 break
         previous = value
-    return values, factors_out, converged, _histories(blocks, sweeps, n)
+    return values, factors_out, converged
 
 
 def _optimizer_arguments(restarts, seed) -> tuple[int, int]:
@@ -304,7 +280,7 @@ def optimize_product(
         starts = _random_factors(n, rng, end - max(first, 1))
         if first == 0:
             starts = np.concatenate([warm[None], starts])
-        values, out_factors, converged = _ascend(psi_t, starts)[:3]
+        values, out_factors, converged = _ascend(psi_t, starts)
         per_restart.extend(values.tolist())
         # argmax takes the first of equal values, so ties keep the earliest start.
         lane = int(np.argmax(values))

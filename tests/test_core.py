@@ -63,6 +63,22 @@ def test_renormalized_scales_to_unit_norm():
             QuantumState.renormalized(1, np.array([bad, 0.5]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "amps, flow",
+    [
+        ([1e-200, 0.0], "underflows to 0"),
+        ([1e-170, 1e-170], "underflows to 0"),
+        ([1e200, 0.0], "overflows to inf"),
+        ([1e200, 1e-200], "overflows to inf"),
+    ],
+)
+def test_renormalized_names_a_norm_that_under_or_overflows_without_a_warning(amps, flow):
+    # No entry is zero or infinite, but the sum of squares leaves float64.
+    with pytest.raises(ValueError, match=f"sum of their squares {flow}"):
+        QuantumState.renormalized(1, np.array(amps))
+
+
 def test_amplitudes_are_read_only():
     state = build_state("eta", 3)
     with pytest.raises(ValueError):

@@ -175,9 +175,22 @@ def test_single_qubit_updates_are_monotone():
     psi_t = state.amplitudes.reshape((2,) * 5)
     factors = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
     factors /= np.linalg.norm(factors, axis=1, keepdims=True)
-    _, _, _, (history,) = _ascend(psi_t, factors[None])
+    history = reference_ascend(psi_t, factors)[3]
     for earlier, later in zip(history, history[1:]):
         assert later >= earlier - 1e-14
+
+
+def _values_by_sweep(psi_t, starts, sweeps):
+    # Each lane's value after sweeps 1, 2, ..., sweeps, as a (sweeps, L)
+    # array.  A sweep reads nothing but the factors, so ascending one sweep
+    # at a time from the factors the last one reached makes the bits of one
+    # ascent that runs on past where SWEEP_TOL would stop it.
+    values = []
+    with mock.patch.object(groverian, "MAX_SWEEPS", 1):
+        for _ in range(sweeps):
+            value, starts, _ = _ascend(psi_t, starts)
+            values.append(value)
+    return np.array(values)
 
 
 @settings(max_examples=50, deadline=None)
@@ -191,7 +204,7 @@ def test_ascent_properties_on_haar_states(n, seed):
     factors = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     factors /= np.linalg.norm(factors, axis=1, keepdims=True)
     psi_t = state.amplitudes.reshape((2,) * n)
-    _, _, _, (history,) = _ascend(psi_t, factors[None])
+    history = _values_by_sweep(psi_t, factors[None], 20)[:, 0]
     for earlier, later in zip(history, history[1:]):
         assert later >= earlier - 1e-14
 
@@ -207,22 +220,6 @@ def test_optimizer_consistent_with_oracle_small_n():
             p_opt = optimize_product(state, restarts=12, seed=1).p_max
             assert p_opt >= grid_search_oracle(state, 48) - 1e-3
             assert p_opt <= 1 + 1e-12
-
-
-@settings(max_examples=50, deadline=None)
-@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-def test_ascent_matches_the_reference_bit_for_bit(n, seed):
-    # norm and outer are inlined in _ascend; the values, factors and every
-    # update of the history stay the same bits.
-    rng = np.random.default_rng(seed)
-    psi_t = random_state(n, rng).amplitudes.reshape((2,) * n)
-    factors = groverian._random_factors(n, rng)
-    (value,), (out,), (converged,), (history,) = _ascend(psi_t, factors[None])
-    ref_value, ref_out, ref_converged, ref_history = reference_ascend(psi_t, factors)
-    assert value == ref_value
-    assert np.array_equal(out, ref_out)
-    assert converged == ref_converged
-    assert history == ref_history
 
 
 def _ascent_case(kind, n, lanes, rng):
@@ -247,22 +244,23 @@ def _ascent_case(kind, n, lanes, rng):
     kind=st.sampled_from(["haar", "ghz", "w", "product", "basis"]),
     n=st.integers(1, 8),
     lanes=st.integers(1, 12),
+    sweeps=st.sampled_from([1, 2, 3, None]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_every_lane_matches_the_sequential_ascent_bit_for_bit(kind, n, lanes, seed):
+def test_every_lane_matches_the_sequential_ascent_bit_for_bit(kind, n, lanes, sweeps, seed):
+    # After 1, 2 or 3 sweeps and at convergence (sweeps=None), every lane
+    # holds the value, factors and flag of the ascent from its start alone.
     rng = np.random.default_rng(seed)
     state, starts = _ascent_case(kind, n, lanes, rng)
     psi_t = state.amplitudes.reshape((2,) * n)
-    values, factors, converged, histories = _ascend(psi_t, starts)
-    histories = list(histories)
+    with mock.patch.object(groverian, "MAX_SWEEPS", sweeps or groverian.MAX_SWEEPS):
+        values, factors, converged = _ascend(psi_t, starts)
+        refs = [reference_ascend(psi_t, start) for start in starts]
     assert values.shape == converged.shape == (lanes,) and factors.shape == starts.shape
-    assert len(histories) == lanes
-    for j in range(lanes):
-        value, out, ref_converged, history = reference_ascend(psi_t, starts[j])
+    for j, (value, out, ref_converged, _) in enumerate(refs):
         assert values[j] == value
         assert factors[j].tobytes() == out.tobytes()
         assert converged[j] == ref_converged
-        assert histories[j] == history
 
 
 def test_a_lane_whose_environment_is_zero_keeps_its_factor():
@@ -270,15 +268,12 @@ def test_a_lane_whose_environment_is_zero_keeps_its_factor():
     # lane keeps its start and its value 0, beside a lane that moves.
     psi_t = build_state("basis", 2, k=3).amplitudes.reshape(2, 2)
     starts = np.array([[[1, 0], [1, 0]], [[0.6, 0.8], [1, 0]]], dtype=complex)
-    values, factors, converged, histories = _ascend(psi_t, starts)
-    histories = list(histories)
+    values, factors, converged = _ascend(psi_t, starts)
     assert values.tolist() == [0.0, 1.0] and converged.all()
     assert np.array_equal(factors[0], starts[0])
-    assert histories[0] == [0.0, 0.0]
     for j in range(2):
-        value, out, _, history = reference_ascend(psi_t, starts[j])
+        value, out, _, _ = reference_ascend(psi_t, starts[j])
         assert values[j] == value and factors[j].tobytes() == out.tobytes()
-        assert histories[j] == history
 
 
 def _assert_same_result(result, ref):
@@ -320,7 +315,7 @@ def test_ties_keep_the_earliest_start_across_groups():
     state = build_state("basis", n, k=0)
     with mock.patch.object(groverian, "_random_factors", signed_starts):
         starts = signed_starts(n, np.random.default_rng(3), 5)
-        _, reached, _, _ = _ascend(state.amplitudes.reshape(2, 2, 2), starts)
+        _, reached, _ = _ascend(state.amplitudes.reshape(2, 2, 2), starts)
         # Every random start ties with the warm start at other factors.
         assert all(not np.array_equal(f, groverian._basis_factors(n, 0)) for f in reached)
         with mock.patch.object(groverian, "_ASCENT_CELLS", 2 << n):
@@ -336,6 +331,21 @@ def test_ascent_memory_is_bounded_by_the_group_cap():
     optimize_product(random_state(2, np.random.default_rng(0)), restarts=1)
     peak, _ = traced_peak(lambda: optimize_product(state, restarts=32, seed=1))
     assert peak <= 2 * 16 * groverian._ASCENT_CELLS + (1 << 20), peak
+
+
+def test_optimizer_memory_does_not_grow_with_its_sweeps():
+    # With no tolerance every start runs MAX_SWEEPS sweeps.  The optimizer
+    # holds its group buffer, the starts and their results, and nothing
+    # that grows with the sweeps.
+    state = build_state("w", 3)
+    optimize_product(state, restarts=1)
+    peaks = []
+    with mock.patch.object(groverian, "SWEEP_TOL", -math.inf):
+        for sweeps in (50, 500):
+            with mock.patch.object(groverian, "MAX_SWEEPS", sweeps):
+                peak, _ = traced_peak(lambda: optimize_product(state, restarts=1000, seed=1))
+            peaks.append(peak)
+    assert peaks[1] <= peaks[0] + (64 << 10), peaks
 
 
 def test_one_lane_groups_hold_what_the_sequential_optimizer_holds():
