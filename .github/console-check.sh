@@ -47,6 +47,16 @@ python -c 'import json; from groverdyn import MarkedSet, analytic_success, build
 # well under a second; the bound is far above that.
 timeout 30 groverdyn avg-success --state eta --n 16 --r 1 --samples 2000 --seed 0 --out avg-n16.json
 python -c 'import json; from groverdyn import MarkedSet, analytic_success, build_state, compute_params; a = json.load(open("avg-n16.json")); p = analytic_success(compute_params(build_state("eta", 16), MarkedSet(65536, (0,))), a["tau"]); assert abs(a["mean_p"] - p) <= 1e-10, (a["mean_p"], p)'
+# Sampled sets of r <= 64 are drawn a block of sets at a time, the same
+# draws as one rng.choice call a set: 20,000 sets take well under a
+# second, and a rerun writes the same bytes.
+timeout 30 groverdyn avg-success --state s.json --n 16 --r 3 --samples 20000 --seed 4 --out avg-blocked.json
+timeout 30 groverdyn avg-success --state s.json --n 16 --r 3 --samples 20000 --seed 4 --out avg-blocked-again.json
+cmp avg-blocked.json avg-blocked-again.json
+python -c 'import json; a = json.load(open("avg-blocked.json")); assert a["num_sets"] == 20000 and not a["exhaustive"], a'
+# Above the cap each set is one choice call.
+groverdyn avg-success --state ghz --n 10 --r 100 --samples 500 --seed 4 --out avg-r100.json
+python -c 'import json; a = json.load(open("avg-r100.json")); assert a["num_sets"] == 500 and a["r"] == 100, a'
 # r = N - 1 at n = 11: the largest exhaustive sweep the limits admit at
 # n = 11, 2048 sets of 2047 indices.  tau = 0, so every set gives P = r/N.
 groverdyn avg-success --state eta --n 11 --r 2047 --out avg-rN-1.json

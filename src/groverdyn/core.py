@@ -107,6 +107,11 @@ class QuantumState:
         # nonzero ones whose squares all underflow give it 0.
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(amps))
+        if 0.0 < norm * norm < np.finfo(float).tiny:
+            # A subnormal sum of squares has lost digits; the amplitudes
+            # scaled by the largest magnitude keep them.
+            amps = amps / np.abs(amps).max()
+            norm = float(np.linalg.norm(amps))
         if 0.0 < norm < math.inf:
             return cls(n, amps / norm)
         if not np.isfinite(amps).all():

@@ -57,6 +57,17 @@ MAX_SWEEP_INDICES = 1 << 24
 # r = 1-2047.
 _BLOCK_CELLS = 1 << 15
 
+# Sampled sets of up to this many indices are drawn by one rng.integers
+# call a block (see _draw_sorted_sets).  Above it one rng.choice call a set
+# is cheaper than its 2r - 1 draws broadcast over a block.  The blocked draws are choice's own
+# only while choice runs Floyd's algorithm, which it does unless N > 10000
+# and r > N // 50 (then it tail-shuffles arange(N)); so the cap must stay
+# below 10000 // 50 = 200.
+_BLOCKED_DRAW_MAX_R = 64
+
+# A block of sampled sets makes about this many draws (512 KiB of int64).
+_DRAW_BLOCK = 1 << 16
+
 STATE_BUILDERS = ("eta", "basis", "ghz", "w", "zero_mean", "haar", "k_uniform")
 # Builders usable directly as a --state name (no extra parameters).
 PARAMETER_FREE_BUILDERS = ("eta", "ghz", "w")
@@ -220,29 +231,63 @@ def _sweep_plan(n: int, r, samples, seed) -> tuple[int, int, int, int, int]:
     return r, tau, total, count, seed
 
 
+def _draw_sorted_sets(block: np.ndarray, num_states: int, rng: np.random.Generator) -> None:
+    """Fill each row of ``block`` with one ``rng.choice(N, r, replace=False)`` draw, sorted.
+
+    Up to ``_BLOCKED_DRAW_MAX_R``, one ``rng.integers`` call makes the draws
+    of every row, the same numbers in the same order as ``choice``.
+    ``choice`` runs Floyd's algorithm, r draws in [0, j] for
+    j = N - r, ..., N - 1, then shuffles, r - 1 draws in [0, i] for
+    i = r - 1, ..., 1.  Floyd keeps draw k unless an earlier one took it,
+    and then takes j; the shuffle does not change the sorted set, but its
+    draws are made all the same.
+    """
+    rows, r = block.shape
+    if r > _BLOCKED_DRAW_MAX_R:
+        for row in block:
+            row[...] = rng.choice(num_states, size=r, replace=False)
+    else:
+        highs = np.concatenate(
+            (np.arange(num_states - r + 1, num_states + 1), np.arange(r, 1, -1))
+        )
+        block[...] = rng.integers(0, highs, size=(rows, len(highs)))[:, :r]
+        for k in range(1, r):
+            column = block[:, k]
+            column[(block[:, :k] == column[:, None]).any(axis=1)] = num_states - r + k
+    block.sort(axis=1)
+
+
 def _marked_sets(num_states: int, r: int, total: int, count: int, seed: int) -> np.ndarray:
     """A planned sweep's marked sets, one a row of a ``(count, r)`` intp array.
 
     ``count == total`` (see ``_sweep_plan``) takes every set in order.  Above
     half of C(N, r), where set-by-set draws turn into a coupon collector,
     the sets are enumerated and one seeded draw picks ``count`` rows.
-    Below, each set is drawn, sorted and redrawn until new, keyed on its bytes.
+    Below, each set is one ``rng.choice`` draw, sorted and redrawn until
+    new, keyed on the bytes of its indices as uint32 (N <= 2^MAX_QUBITS =
+    2^24), half those of its intp row.  The draws are made ``_DRAW_BLOCK // (2r - 1)``
+    sets at a time into the rows still to fill (see ``_draw_sorted_sets``),
+    never more sets than are missing, and each block is compacted over the
+    repeats it held.
     """
     if count == total:
         return _all_marked_sets(num_states, r, total)
     rng = np.random.default_rng(seed)
     if 2 * count > total:
         return _all_marked_sets(num_states, r, total)[rng.choice(total, count, replace=False)]
+    rows = max(1, _DRAW_BLOCK // (2 * r - 1))
     sets = np.empty((count, r), dtype=np.intp)
     seen: set[bytes] = set()
     filled = 0
     while filled < count:
-        pick = np.sort(rng.choice(num_states, size=r, replace=False))
-        key = pick.tobytes()
-        if key not in seen:
-            seen.add(key)
-            sets[filled] = pick
-            filled += 1
+        block = sets[filled:filled + min(rows, count - filled)]
+        _draw_sorted_sets(block, num_states, rng)
+        for row, indices in zip(block, block.astype(np.uint32)):
+            key = indices.tobytes()
+            if key not in seen:
+                seen.add(key)
+                sets[filled] = row
+                filled += 1
     return sets
 
 
@@ -292,7 +337,7 @@ def sweep_marked_sets(
         mean_p=mean_p,
         std_error=std_error,
         analytic_prediction=averaged_success(state),
-        p_values=tuple(float(p) for p in p_values),
+        p_values=tuple(p_values.tolist()),
     )
 
 

@@ -10,6 +10,8 @@ LAPACK's 2x2 SVD instead of the closed form.  ``reference_ascend`` is
 the alternating ascent from one start at a time, written with
 ``np.linalg.norm`` and ``np.outer``, and ``reference_optimize_product``
 runs the optimizer's starts through it one after another.
+``reference_marked_sets`` draws sampled marked sets one ``rng.choice``
+call a set, where the package draws a block of sets a call.
 """
 
 import itertools
@@ -47,6 +49,27 @@ def random_marked_set(n: int, r: int, rng: np.random.Generator) -> MarkedSet:
     num_states = 1 << n
     indices = rng.choice(num_states, size=r, replace=False)
     return MarkedSet(num_states, tuple(int(i) for i in indices))
+
+
+def reference_marked_sets(num_states: int, r: int, count: int, seed: int) -> np.ndarray:
+    """``count`` distinct sorted r-subsets of range(num_states), drawn one at a time.
+
+    Each set is one ``rng.choice(num_states, r, replace=False)`` call on a
+    generator seeded with ``seed``, sorted and kept if it is new: the draws
+    ``harness._marked_sets`` must make below half of C(N, r).
+    """
+    rng = np.random.default_rng(seed)
+    sets = np.empty((count, r), dtype=np.intp)
+    seen: set[bytes] = set()
+    filled = 0
+    while filled < count:
+        pick = np.sort(rng.choice(num_states, size=r, replace=False))
+        key = pick.tobytes()
+        if key not in seen:
+            seen.add(key)
+            sets[filled] = pick
+            filled += 1
+    return sets
 
 
 def traced_peak(call):

@@ -79,6 +79,14 @@ def test_renormalized_names_a_norm_that_under_or_overflows_without_a_warning(amp
         QuantumState.renormalized(1, np.array(amps))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amps", [[1e-160, 0.0], [3e-155, 0.0], [1e-155, 1e-155]])
+def test_renormalized_scales_amplitudes_whose_squares_are_subnormal(amps):
+    # The sum of squares is below the smallest normal float64.
+    state = QuantumState.renormalized(1, np.array(amps))
+    assert abs(state.norm_sq() - 1.0) <= 1e-15
+
+
 def test_amplitudes_are_read_only():
     state = build_state("eta", 3)
     with pytest.raises(ValueError):

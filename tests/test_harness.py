@@ -30,7 +30,13 @@ from groverdyn.harness import (
     write_snapshots,
 )
 from groverdyn.simulator import MAX_TRAJECTORY_STEPS
-from helpers import random_marked_set, random_state, traced_peak, two_cycle_state
+from helpers import (
+    random_marked_set,
+    random_state,
+    reference_marked_sets,
+    traced_peak,
+    two_cycle_state,
+)
 from groverdyn import MarkedSet
 
 
@@ -314,6 +320,66 @@ def test_marked_sets_above_half_takes_one_draw(num_states, r):
     assert np.array_equal(sets, _marked_sets(num_states, r, total, total - 1, seed=8))
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 20), seed=st.integers(0, 2**64))
+def test_marked_sets_match_the_draw_by_draw_reference(data, n, seed):
+    # r runs past _BLOCKED_DRAW_MAX_R, where each set is one choice call
+    # again; counts reach half of C(N, r), where r = 1 repeats often.
+    num_states = 1 << n
+    r = data.draw(st.integers(1, min(num_states - 1, 2 * harness._BLOCKED_DRAW_MAX_R)), "r")
+    total = harness._count_marked_sets(num_states, r)
+    count = data.draw(st.integers(1, min(total // 2, 3000)), "count")
+    sets = _marked_sets(num_states, r, total, count, seed)
+    assert np.array_equal(sets, reference_marked_sets(num_states, r, count, seed))
+
+
+@pytest.mark.parametrize(
+    "n, r, count, seed",
+    [(3, 1, 4, 0), (8, 1, 128, 2), (12, 1, 2048, 3), (12, 2, 2000, 11),
+     (12, 64, 2000, 11), (12, 65, 300, 11), (20, 3, 5000, 1)],
+)
+def test_marked_sets_match_the_reference_at_the_edges(n, r, count, seed):
+    # r = 1 at N/2 tops up many times; r = 64 and 65 sit on either side of
+    # the cap.
+    num_states = 1 << n
+    total = harness._count_marked_sets(num_states, r)
+    sets = _marked_sets(num_states, r, total, count, seed)
+    assert np.array_equal(sets, reference_marked_sets(num_states, r, count, seed))
+
+
+def test_marked_sets_draw_a_block_of_sets_a_call():
+    # 2000 sets of r = 2 at N = 4096 are one block of 3 x 2000 draws, plus
+    # a top-up call for any repeats, not one choice call a set.
+    rngs = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        rngs.append(_CountingRng(default_rng(seed)))
+        return rngs[-1]
+
+    total = math.comb(4096, 2)
+    with mock.patch.object(np.random, "default_rng", counting_rng):
+        sets = _marked_sets(4096, 2, total, 2000, seed=11)
+    assert len(rngs) == 1 and rngs[0].draws <= 3, [rng.draws for rng in rngs]
+    assert np.array_equal(sets, reference_marked_sets(4096, 2, 2000, 11))
+
+
+def test_blocked_sampler_peaks_no_higher_than_the_draw_by_draw_loop():
+    # The blocked draws add one block of int64 at a time; keying repeats
+    # on uint32 bytes saves more than that.  Both run once first, so that
+    # neither peak counts what a first call allocates.
+    num_states, r, count = 1 << 20, 3, 20_000
+    total = harness._count_marked_sets(num_states, r)
+    _marked_sets(num_states, r, total, 10, seed=0)
+    reference_marked_sets(num_states, r, 10, seed=0)
+    peak, sets = traced_peak(lambda: _marked_sets(num_states, r, total, count, seed=1))
+    reference_peak, expected = traced_peak(
+        lambda: reference_marked_sets(num_states, r, count, seed=1)
+    )
+    assert np.array_equal(sets, expected)
+    assert peak <= reference_peak, (peak, reference_peak)
+
+
 def test_forced_exhaustive_beyond_limit_is_configuration_error():
     # samples=C(N, r) forces an exhaustive sweep; C(1024, 2) = 523776 sets
     # is over the limit.
@@ -392,7 +458,8 @@ def test_count_marked_sets_is_exact_up_to_the_cap(num_states, r):
 
 def test_sampler_holds_little_beyond_its_sets():
     # r = N - 1 drawn one set at a time: each draw is sorted and stored as
-    # one intp row, and only its bytes are kept to spot repeats.
+    # one intp row, and only the bytes of its indices are kept to spot
+    # repeats.
     peak, sets = traced_peak(lambda: _marked_sets(1024, 1023, 1024, 200, seed=1))
     assert sets.shape == (200, 1023)
     assert peak <= 2.5 * sets.nbytes, peak / sets.nbytes
