@@ -58,11 +58,11 @@ MAX_SWEEP_INDICES = 1 << 24
 _BLOCK_CELLS = 1 << 15
 
 # Sampled sets of up to this many indices are drawn by one rng.integers
-# call a block (see _draw_sorted_sets).  Above it one rng.choice call a set
-# is cheaper than its 2r - 1 draws broadcast over a block.  The blocked draws are choice's own
-# only while choice runs Floyd's algorithm, which it does unless N > 10000
-# and r > N // 50 (then it tail-shuffles arange(N)); so the cap must stay
-# below 10000 // 50 = 200.
+# call a block (see _draw_sorted_sets).  Above it one rng.choice call a
+# set is cheaper than its 2r - 1 draws broadcast over a block.  The blocked
+# draws are choice's own only while choice runs Floyd's algorithm, which
+# it does unless N > 10000 and r > N // 50 (then it tail-shuffles
+# arange(N)); so the cap must stay below 10000 // 50 = 200.
 _BLOCKED_DRAW_MAX_R = 64
 
 # A block of sampled sets makes about this many draws (512 KiB of int64).
@@ -264,11 +264,11 @@ def _marked_sets(num_states: int, r: int, total: int, count: int, seed: int) -> 
     half of C(N, r), where set-by-set draws turn into a coupon collector,
     the sets are enumerated and one seeded draw picks ``count`` rows.
     Below, each set is one ``rng.choice`` draw, sorted and redrawn until
-    new, keyed on the bytes of its indices as uint32 (N <= 2^MAX_QUBITS =
-    2^24), half those of its intp row.  The draws are made ``_DRAW_BLOCK // (2r - 1)``
-    sets at a time into the rows still to fill (see ``_draw_sorted_sets``),
-    never more sets than are missing, and each block is compacted over the
-    repeats it held.
+    new, keyed on the bytes of its indices as uint32 (N <= 2^MAX_QUBITS),
+    half those of its intp row.  The draws are made
+    ``_DRAW_BLOCK // (2r - 1)`` sets at a time into the rows still to fill
+    (see ``_draw_sorted_sets``), never more sets than are missing, and
+    each block is compacted over the repeats it held.
     """
     if count == total:
         return _all_marked_sets(num_states, r, total)
