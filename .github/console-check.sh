@@ -10,6 +10,10 @@ groverdyn simulate --help > /dev/null
 groverdyn classify --state eta --n 4 --marked 0,1,2,3 --max-period 12
 # 2^16 amplitudes: the state writer encodes them in several chunks.
 groverdyn state make haar --n 16 --seed 1 --out s.json
+# Its bytes are those of json.dumps on the state's pairs, plus a newline.
+# The pairs come from build_state, not load_state, whose renormalization
+# may move the last bit of an entry.
+python -c 'import json; from groverdyn import build_state; a = build_state("haar", 16, seed=1).amplitudes; t = json.dumps({"n": 16, "amplitudes": [[float(z.real), float(z.imag)] for z in a]}) + "\n"; assert open("s.json", "rb").read() == t.encode(), "state file differs from json.dumps"'
 groverdyn simulate --state s.json --n 16 --marked 3,77,40000 --steps 20 --out traj.csv
 groverdyn compare --state s.json --n 16 --marked 3,77,40000 --steps 20 --out cmp.json
 # Simulation and closed form agree within the 1e-10 acceptance bound.

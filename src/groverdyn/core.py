@@ -268,14 +268,9 @@ def inner_product(a: QuantumState, b: QuantumState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def _amplitude_pairs(amps: np.ndarray) -> list[list[float]]:
-    """The JSON encoding of an amplitude array: [[re, im], ...]."""
-    return amps.view(np.float64).reshape(-1, 2).tolist()
-
-
-# Amplitudes per json.dumps call in save_state: big enough to keep the
-# per-call overhead small, small enough that one chunk's Python floats
-# and text stay well under the size of the state itself.
+# Amplitudes per format call in save_state: big enough to keep the
+# per-call overhead small, small enough that one chunk's floats, format
+# string and text stay well under the size of the state itself.
 _SAVE_CHUNK = 1 << 14
 
 
@@ -284,14 +279,19 @@ def _write_pairs(fh, amps: np.ndarray) -> None:
 
     This is the one layout of an amplitude list, in state files and in
     the ``simulate --full-snapshots`` side file alike.  Each chunk of
-    ``_SAVE_CHUNK`` amplitudes is encoded by ``json.dumps``, which runs
-    the C encoder (``json.dump`` never does), and the chunks are joined
-    as one list.
+    ``_SAVE_CHUNK`` amplitudes is written by one ``%`` format over its
+    flat re, im floats, so no list is built per pair; the chunks are
+    joined as one list.  ``%r`` is ``float.__repr__``, which ``json``
+    writes for every finite float.  For nan and inf it writes ``nan`` and
+    ``inf`` where ``json`` writes ``NaN`` and ``Infinity``: the entries
+    are finite because ``QuantumState`` refuses a norm that is not, and
+    the simulator's unitary steps keep them so.
     """
     fh.write("[")
     for start in range(0, amps.size, _SAVE_CHUNK):
+        chunk = amps[start:start + _SAVE_CHUNK]
         fh.write(", " if start else "")
-        fh.write(json.dumps(_amplitude_pairs(amps[start:start + _SAVE_CHUNK]))[1:-1])
+        fh.write(", ".join(["[%r, %r]"] * chunk.size) % tuple(chunk.view(np.float64).tolist()))
     fh.write("]")
 
 

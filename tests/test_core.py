@@ -371,9 +371,22 @@ def _states_to_write(draw):
 @example(state=build_state("ghz", _SAVE_CHUNK.bit_length() - 1))
 @example(state=build_state("zero_mean", _SAVE_CHUNK.bit_length(), seed=3))
 def test_save_state_writes_the_reference_bytes(tmp_path, state):
-    save_state(state, tmp_path / "state.json")
     _reference_save_state(state, tmp_path / "reference.json")
-    assert (tmp_path / "state.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+    expected = (tmp_path / "reference.json").read_bytes()
+    # At the default chunk size a power-of-two register never leaves a
+    # partial last chunk; these sizes do.
+    for chunk in (_SAVE_CHUNK, 1, 3, state.dim - 1, state.dim + 1):
+        with mock.patch.object(core, "_SAVE_CHUNK", chunk):
+            save_state(state, tmp_path / "state.json")
+        assert (tmp_path / "state.json").read_bytes() == expected, chunk
+
+
+def test_save_state_peaks_below_the_file_it_writes(tmp_path):
+    # Encoding a chunk as [re, im] lists peaked near twice the file.
+    state = build_state("haar", 16, seed=1)
+    save_state(state, tmp_path / "warm-up.json")
+    peak, _ = traced_peak(lambda: save_state(state, tmp_path / "state.json"))
+    assert peak < (tmp_path / "state.json").stat().st_size, peak
 
 
 @pytest.mark.parametrize("payload", [
