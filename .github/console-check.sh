@@ -18,6 +18,11 @@ groverdyn simulate --state s.json --n 16 --marked 3,77,40000 --steps 20 --out tr
 groverdyn compare --state s.json --n 16 --marked 3,77,40000 --steps 20 --out cmp.json
 # Simulation and closed form agree within the 1e-10 acceptance bound.
 python -c 'import json; e = json.load(open("cmp.json"))["max_abs_err"]; assert e <= 1e-10, e'
+# The north star's compare at n = 20 over 4 tau (r = 1): P(t) steps only the
+# marked cells, so 3217 steps of a 2^20 register take well under a second;
+# the bound is far above that.
+timeout 60 groverdyn compare --state ghz --n 20 --marked 1 --steps 3216 --out cmp-n20.json
+python -c 'import json; e = json.load(open("cmp-n20.json"))["max_abs_err"]; assert e <= 1e-10, e'
 # The simulated P at the last step matches the closed form within the same bound.
 python -c 'import csv; from groverdyn import MarkedSet, analytic_success, compute_params, load_state; last = list(csv.DictReader(open("traj.csv")))[-1]; p = analytic_success(compute_params(load_state("s.json"), MarkedSet(1 << 16, (3, 77, 40000))), int(last["t"])); e = abs(float(last["p_marked"]) - p); assert e <= 1e-10, e'
 # The snapshot side file lays out each amplitude list as a state file does:

@@ -3,12 +3,14 @@
 ``run_grover`` iterates one state vector.  It carries the register sum
 from step to step instead of reducing the register again: a call reduces
 the register once, when it starts, and a step then makes one
-read-modify-write pass over the amplitudes.  ``marked_success`` runs the
+read-modify-write pass over the amplitudes.  ``marked_cells`` runs the
 same arithmetic for many marked sets at once on their marked amplitudes
-alone, the only entries a marked-set sweep reads, so a step costs O(r) a
-set instead of O(N).  ``get_impl``, ``available_backends`` and
-``backend_name`` name the numpy implementation for callers that report or
-time the kernel.
+alone, the only entries that P(t) = sum over the marked set of |a_i(t)|^2
+reads, so a step costs O(r) a set instead of O(N).  It is the one
+simulator of P(t) for a marked set, read by the marked-set sweep and by
+``compare``.  ``get_impl``, ``available_backends`` and ``backend_name``
+name the numpy implementation for callers that report or time the
+kernel.
 """
 
 import sys
@@ -67,25 +69,28 @@ def run_grover(
     return complex(total)
 
 
-def marked_success(amps: np.ndarray, marked: np.ndarray, steps: int) -> np.ndarray:
-    """P after ``steps`` Grover iterations from ``amps``, one per row of ``marked``.
+def marked_cells(amps: np.ndarray, marked: np.ndarray, steps: int):
+    """Yield the marked amplitudes after t = 0, 1, ..., ``steps`` Grover iterations.
 
-    Row b of the ``(B, r)`` intp array ``marked`` is a marked set.  A marked
+    Row b of the ``(B, r)`` intp array ``marked`` is a marked set, and each
+    item is the ``(B, r)`` array of the sets' amplitudes.  A marked
     amplitude x steps as x <- 2 * S' / N + x, with S' = S - 2 * S_M the
     carried sum after the flip, so it reads only the marked amplitudes and
     S.  The loop steps those ``(B, r)`` cells and a ``(B, 1)`` column of
     sums, with ``run_grover``'s operations in its order (2 * S' / N - (-x)
-    is 2 * S' / N + x exactly): each row's P equals that of ``run_grover``
-    on the row's set, bit for bit.  ``amps`` is only read.
+    is 2 * S' / N + x exactly): each row equals the set's entries of a
+    ``run_grover`` register, bit for bit.  Every item is a new array, and
+    ``amps`` is only read.
     """
     cells = amps[marked]
     sums = np.full((len(cells), 1), np.add.reduce(amps))
     scale = np.complex128(2.0 / len(amps))
+    yield cells
     for _ in range(steps):
         marked_sums = np.add.reduce(cells, axis=1, keepdims=True)
         sums = sums - (marked_sums + marked_sums)
         cells = sums * scale + cells
-    return np.sum(np.abs(cells) ** 2, axis=1)
+        yield cells
 
 
 def available_backends() -> tuple[str, ...]:

@@ -32,10 +32,11 @@ from .core import (
     _as_int_in,
     _as_qubit_count,
     _as_seed,
+    _check_compatible,
     _write_pairs,
     load_state,
 )
-from .simulator import Trajectory, _p_marked, _registers
+from .simulator import Trajectory, _as_step_count
 from . import _kernels
 
 # Enumerate all C(N, r) marked sets up to this count; sample beyond it.
@@ -304,12 +305,13 @@ def sweep_marked_sets(
     ``MAX_SWEEP_INDICES`` marked indices (sets x r), is a
     ``ConfigurationError`` that ``_sweep_plan`` raises before any set is built.
 
-    Each set's P(tau) comes from ``marked_success``, which steps only its
-    r marked amplitudes and the register sum, ``_BLOCK_CELLS // r`` sets
-    at a time; it equals that of a lone ``run_grover`` run on the set, bit
-    for bit.  Reports the sample mean, its standard error, and
-    N * |mean amplitude|^2, the closed form's leading term for r << N of
-    the marked-set average (see ``averaged_success``; it is not exact).
+    Each set's P(tau) is read from the last item of ``marked_cells``, which
+    steps only its r marked amplitudes and the register sum,
+    ``_BLOCK_CELLS // r`` sets at a time; it equals that of a lone
+    ``run_grover`` run on the set, bit for bit.  Reports the sample mean,
+    its standard error, and N * |mean amplitude|^2, the closed form's
+    leading term for r << N of the marked-set average (see
+    ``averaged_success``; it is not exact).
     """
     r, tau, total, count, seed = _sweep_plan(state.n, r, samples, seed)
     marked = _marked_sets(state.dim, r, total, count, seed)
@@ -317,9 +319,9 @@ def sweep_marked_sets(
     rows = max(1, _BLOCK_CELLS // r)
     p_values = np.empty(len(marked))
     for start in range(0, len(marked), rows):
-        p_values[start:start + rows] = _kernels.marked_success(
-            state.amplitudes, marked[start:start + rows], tau
-        )
+        for cells in _kernels.marked_cells(state.amplitudes, marked[start:start + rows], tau):
+            pass
+        p_values[start:start + rows] = np.sum(np.abs(cells) ** 2, axis=1)
 
     mean_p = float(np.mean(p_values))
     std_error = (
@@ -377,16 +379,19 @@ def compare_run(
 ) -> ComparisonReport:
     """Tabulate simulated against closed-form P(t) for t = 0, ..., ``t_max``.
 
-    ``t_max`` defaults to 4 * tau.  The simulated P(t) is the marked
-    probability of the register itself, read at every step exactly as
-    ``evolve`` reads it; no moments are computed along the way.
+    ``t_max`` defaults to 4 * tau and is checked, as ``evolve`` checks it,
+    before the one moments pass the closed form needs.  The simulated P(t)
+    sums |a_i(t)|^2 over the marked amplitudes that ``marked_cells`` steps
+    with the register sum, one set of r cells, not the 2^n register; it
+    equals the P(t) ``evolve`` records, bit for bit.
     """
+    _check_compatible(state, marked)
+    t_max = _as_step_count(4 * optimal_iterations(state.n, marked.r) if t_max is None else t_max)
     params = compute_params(state, marked)
-    t_max = 4 * params.tau if t_max is None else t_max
-    idx = marked.indices_array
+    idx = marked.indices_array[None]
     rows = []
-    for t, amps in enumerate(_registers(state, marked, t_max)):
-        p_sim = _p_marked(amps, idx)
+    for t, (cells,) in enumerate(_kernels.marked_cells(state.amplitudes, idx, t_max)):
+        p_sim = float(np.sum(np.abs(cells) ** 2))
         p_analytic = analytic_success(params, t)
         rows.append(ComparisonRow(t, p_sim, p_analytic, abs(p_sim - p_analytic)))
     return ComparisonReport(

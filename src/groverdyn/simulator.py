@@ -27,10 +27,11 @@ from .core import (
 # ``simulate --full-snapshots`` takes several times that.
 MAX_SNAPSHOT_AMPLITUDES = 1 << 22
 
-# Most Grover iterations one trajectory records.  Each step keeps a
-# ``TrajectoryStep`` of about 384 bytes, so the limit is about 38 MB of
-# records; it covers ``compare``'s default 4 * tau at n = 24, r = 1
-# (12,864 steps) several times over.
+# Most Grover iterations one trajectory records, or one ``compare`` tabulates.
+# ``evolve`` keeps a ``TrajectoryStep`` of about 384 bytes a step and
+# ``compare_run`` a ``ComparisonRow`` of about 210, so the limit is at most
+# about 38 MB of records; it covers ``compare``'s default 4 * tau at n = 24,
+# r = 1 (12,864 steps) several times over.
 MAX_TRAJECTORY_STEPS = 100_000
 
 
@@ -42,13 +43,15 @@ def _as_step_count(t_max) -> int:
 def _registers(state: QuantumState, marked: MarkedSet, t_max):
     """Yield the register after t = 0, 1, ..., t_max Grover iterations.
 
-    The one stepping loop behind ``evolve``, ``compare_run`` and
-    ``detect_cycle``.  The arguments are checked when the first item is
-    asked for, before any step.  Every item is the same array, a copy of
-    ``state``'s amplitudes that one ``run_grover`` step updates in place
-    between items: read it before asking for the next one, and copy what
-    must outlive the step.  Each step passes on the register sum the last
-    one returned, so the register rounds as in one ``t_max``-step call.
+    The stepping loop of the two readers that need the whole register:
+    ``evolve`` (moments, snapshots) and ``detect_cycle`` (overlaps).  P(t)
+    alone needs only the marked cells (``_kernels.marked_cells``).  The
+    arguments are checked when the first item is asked for, before any
+    step.  Every item is the same array, a copy of ``state``'s amplitudes
+    that one ``run_grover`` step updates in place between items: read it
+    before asking for the next one, and copy what must outlive the step.
+    Each step passes on the register sum the last one returned, so the
+    register rounds as in one ``t_max``-step call.
     """
     _check_compatible(state, marked)
     t_max = _as_step_count(t_max)

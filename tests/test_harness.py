@@ -21,7 +21,7 @@ from groverdyn import (
     save_state,
     sweep_marked_sets,
 )
-from groverdyn import core, harness, optimal_iterations, simulator
+from groverdyn import _kernels, core, harness, optimal_iterations, simulator
 from groverdyn._kernels import run_grover
 from groverdyn.harness import (
     _marked_sets,
@@ -542,9 +542,9 @@ def test_compare_run_two_cycle_state(tmp_path):
     [("haar", 9, (3, 77, 400)), ("ghz", 10, (0, 5)), ("eta", 10, (7,)), ("two_cycle", 4, (0, 5))],
 )
 def test_compare_run_p_sim_is_evolve_p_marked(tmp_path, spec, n, marked, t_max):
-    # compare_run steps the register itself; its P(t) column must be the
-    # one evolve records, bit for bit, at the default horizon (4 tau) and
-    # at explicit ones.
+    # compare_run steps only the marked cells; its P(t) column must be the
+    # one evolve records from the whole register, bit for bit, at the
+    # default horizon (4 tau) and at explicit ones.
     if spec == "two_cycle":
         spec = str(tmp_path / "two_cycle.json")
         save_state(two_cycle_state(MarkedSet(1 << n, marked)), spec)
@@ -555,6 +555,55 @@ def test_compare_run_p_sim_is_evolve_p_marked(tmp_path, spec, n, marked, t_max):
     assert report.rows[-1].t == (4 * report.tau if t_max is None else t_max)
     assert [row.t for row in report.rows] == [step.t for step in expected.steps]
     assert np.array_equal(np.array([row.p_sim for row in report.rows]), expected.p_marked())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 10),
+    spec=st.sampled_from(["haar", "zero_mean", "eta"]),
+    t_max=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compare_run_p_sim_is_evolve_p_marked_at_every_step(data, n, spec, t_max, seed):
+    r = data.draw(st.integers(1, (1 << n) - 1), label="r")
+    rng = np.random.default_rng(seed)
+    state = resolve_state(spec, n, seed=seed)
+    marked = random_marked_set(n, r, rng)
+    report = compare_run(state, marked, t_max)
+    expected = evolve(state, marked, t_max).p_marked()
+    assert np.array_equal(np.array([row.p_sim for row in report.rows]), expected)
+
+
+def test_compare_run_checks_t_max_before_the_moments_pass():
+    def refuse(*args, **kwargs):
+        raise AssertionError("moments computed before t_max was checked")
+
+    state, marked = build_state("haar", 8, seed=2), MarkedSet(256, (1, 200))
+    with mock.patch.object(core, "_moments_from_array", refuse):
+        with pytest.raises(ValueError, match="t_max must be in"):
+            compare_run(state, marked, -1)
+        with pytest.raises(ValueError, match="t_max must be an integer"):
+            compare_run(state, marked, 2.5)
+
+
+def test_compare_run_refuses_a_marked_set_of_another_register_first():
+    # The default horizon reads r from the marked set: r = 5 is out of
+    # range for 4 states, but the error names the mismatch.
+    with pytest.raises(ValueError, match="defined over 8 states but the register has 4"):
+        compare_run(build_state("eta", 2), MarkedSet(8, (0, 1, 2, 3, 4)))
+
+
+def test_compare_run_steps_no_register():
+    # P(t) needs only the marked cells: the register kernel is never called.
+    state, marked = build_state("haar", 8, seed=2), MarkedSet(256, (1, 200))
+    expected = compare_run(state, marked, 30)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare_run stepped the whole register")
+
+    with mock.patch.object(_kernels, "run_grover", refuse):
+        assert compare_run(state, marked, 30) == expected
 
 
 def test_compare_run_computes_moments_once():

@@ -8,7 +8,7 @@ from groverdyn._kernels import (
     available_backends,
     backend_name,
     get_impl,
-    marked_success,
+    marked_cells,
     run_grover,
 )
 from helpers import apply_diffusion, apply_oracle
@@ -43,16 +43,23 @@ def test_kernel_matches_oracle_then_diffusion(n, r, steps):
     assert np.max(np.abs(amps - reference.amplitudes)) < 1e-13
 
 
-def check_marked_success(amps, marked, steps):
+def check_marked_cells(amps, marked, steps):
     initial = amps.copy()
-    p_values = marked_success(amps, marked, steps)
+    items = list(marked_cells(amps, marked, steps))
     assert np.array_equal(amps, initial)
-    assert p_values.shape == (len(marked),)
-    for p, indices in zip(p_values, marked):
+    assert len(items) == steps + 1
+    for b, indices in enumerate(marked):
+        # A chain of 1-step calls that passes the returned sum on rounds as
+        # one call; marked_cells makes the same operations in the same
+        # order, so every item holds the register's marked entries, bit for
+        # bit.
         reference = initial.copy()
-        run_grover(reference, indices, steps)
-        # Same operations in the same order: the P values are bit-identical.
-        assert p == np.sum(np.abs(reference[indices]) ** 2)
+        total = None
+        for t, cells in enumerate(items):
+            assert cells.shape == marked.shape
+            if t:
+                total = run_grover(reference, indices, 1, total)
+            assert np.array_equal(cells[b], reference[indices])
 
 
 @pytest.mark.parametrize(
@@ -81,7 +88,7 @@ def test_block_kernel_matches_single_vector_kernel(n, r, steps, rows):
         [np.sort(rng.choice(1 << n, size=r, replace=False)) for _ in range(rows)],
         dtype=np.intp,
     )
-    check_marked_success(amps, marked, steps)
+    check_marked_cells(amps, marked, steps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,7 +99,7 @@ def test_block_kernel_matches_single_vector_kernel(n, r, steps, rows):
     rows=st.integers(1, 16),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_marked_success_matches_single_vector_kernel(n, r, steps, rows, seed):
+def test_marked_cells_match_single_vector_kernel(n, r, steps, rows, seed):
     r = min(r, (1 << n) - 1)
     amps, _ = random_problem(n, r, seed)
     rng = np.random.default_rng(seed + 1)
@@ -100,7 +107,7 @@ def test_marked_success_matches_single_vector_kernel(n, r, steps, rows, seed):
         [np.sort(rng.choice(1 << n, size=r, replace=False)) for _ in range(rows)],
         dtype=np.intp,
     )
-    check_marked_success(amps, marked, steps)
+    check_marked_cells(amps, marked, steps)
 
 
 @settings(max_examples=60, deadline=None)
