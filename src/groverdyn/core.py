@@ -339,22 +339,25 @@ def _pairs_array(pairs) -> np.ndarray:
     return np.fromiter(itertools.chain.from_iterable(pairs), np.float64, 2 * len(pairs))
 
 
-def _decode_amplitudes(text: str, pos: int) -> tuple:
-    """Decode the "amplitudes" value at text[pos]; return it and the index after it.
+def _decode_value(text: str, pos: int) -> tuple:
+    """Decode the top-level member value at text[pos]; return it and the index after it.
 
-    A list of number pairs longer than ``_LOAD_CHUNK`` characters comes
-    back as its complex128 array.  It is cut only at pair gaps, into
-    chunks of about that size, each decoded by ``json.loads`` and turned
-    into an array before the next is read; the last chunk ends at the
-    first ']' ws ']'.  A chunk that ran past the end of the list would
-    close its brackets early and be no JSON, so it never passes for pairs.
-    Any other value, a list that fits one chunk included, comes back as
-    ``json`` decodes it, for ``load_state`` to convert or refuse once the
-    text is gone.  A repeated key keeps its last value, so an
-    "amplitudes" member that a later one replaces is never refused.
+    ``json.decoder.JSONObject`` calls this for every member of the
+    document.  A list of number pairs longer than ``_LOAD_CHUNK``
+    characters comes back as its complex128 array.  It is cut only at pair
+    gaps, into chunks of about that size, each decoded by ``json.loads``
+    and turned into an array before the next is read; the last chunk ends
+    at the first ']' ws ']'.  A chunk that ran past the end of the list
+    would close its brackets early and be no JSON, so it never passes for
+    pairs.  Any other value, a list that fits one chunk included, comes
+    back as ``json``'s scanner decodes it, for ``load_state`` to convert or
+    refuse once the text is gone.  The scanner raises StopIteration where
+    no value starts, which ``JSONObject`` reports as "Expecting value".  A
+    repeated key keeps its last value, so an "amplitudes" member that a
+    later one replaces is never refused.
     """
     if not text.startswith("[", pos):
-        return _DECODER.raw_decode(text, pos)
+        return _DECODER.scan_once(text, pos)
     start = _WS.match(text, pos + 1).end()
     pieces = []
     while True:
@@ -369,39 +372,23 @@ def _decode_amplitudes(text: str, pos: int) -> tuple:
         if last is not None:
             return np.concatenate(pieces).view(np.complex128), last.end()
         start = gap.end() - 1
-    return _DECODER.raw_decode(text, pos)
-
-
-def _expect(text: str, pos: int, char: str, what: str) -> int:
-    """Index after ``char`` at text[pos] and the whitespace that follows it."""
-    if not text.startswith(char, pos):
-        raise json.JSONDecodeError(f"Expecting {what}", text, pos)
-    return _WS.match(text, pos + 1).end()
+    return _DECODER.scan_once(text, pos)
 
 
 def _decode_document(text: str) -> dict:
     """The members of the JSON object ``text``, as ``json.loads`` reads them.
 
-    The walk covers the top level only: "amplitudes" goes to
-    ``_decode_amplitudes`` and every other value to the json decoder.
+    ``json.decoder.JSONObject`` walks the top-level object and hands each
+    member value to ``_decode_value``; this adds the checks ``json.loads``
+    makes around it: no BOM, an object first, nothing after it.
     """
     if text.startswith("\ufeff"):
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    pos = _expect(text, _WS.match(text).end(), "{", "'{'")
-    members = {}
-    while True:
-        if not text.startswith('"', pos):
-            raise json.JSONDecodeError(
-                "Expecting property name enclosed in double quotes", text, pos)
-        key, pos = json.decoder.scanstring(text, pos + 1)
-        pos = _expect(text, _WS.match(text, pos).end(), ":", "':' delimiter")
-        decode = _decode_amplitudes if key == "amplitudes" else _DECODER.raw_decode
-        members[key], pos = decode(text, pos)
-        pos = _WS.match(text, pos).end()
-        if text.startswith("}", pos):
-            break
-        pos = _expect(text, pos, ",", "',' delimiter")
-    pos = _WS.match(text, pos + 1).end()
+    pos = _WS.match(text).end()
+    if not text.startswith("{", pos):
+        raise json.JSONDecodeError("Expecting '{'", text, pos)
+    members, pos = json.decoder.JSONObject((text, pos + 1), True, _decode_value, None, None)
+    pos = _WS.match(text, pos).end()
     if pos != len(text):
         raise json.JSONDecodeError("Extra data", text, pos)
     return members
@@ -410,7 +397,7 @@ def _decode_document(text: str) -> dict:
 def load_state(path) -> QuantumState:
     """Read a state file, reject norm deviations > 1e-9, then renormalize.
 
-    The amplitude list is decoded a chunk at a time (``_decode_amplitudes``),
+    The amplitude list is decoded a chunk at a time (``_decode_value``),
     so the peak stays near the text plus a few registers.  The cyclic
     garbage collector is paused meanwhile: the [re, im] lists of a chunk
     hold no reference cycles, yet their allocation would set off

@@ -555,9 +555,39 @@ def _state_documents(draw):
 _CHUNK_SIZES = st.one_of(st.integers(1, 200), st.just(core._LOAD_CHUNK))
 
 
+_PAIRS = '[[1.0, 0.0], [0.0, 0.0]]'
+# Longer than the default chunk, so it is chunk-decoded at every chunk size.
+_LONG_PAIRS = json.dumps([[0.5, -0.25]] * 12000)
+# Documents at the edges of the object grammar that json.decoder.JSONObject
+# walks, and long pair lists kept by members load_state never reads.
+_GRAMMAR_EDGES = {
+    "empty_object": "{}",
+    "top_level_list": "[]",
+    "top_level_string": '"x"',
+    "top_level_number": "1",
+    "trailing_comma": f'{{"n": 1, "amplitudes": {_PAIRS},}}',
+    "missing_colon": f'{{"n" 1, "amplitudes": {_PAIRS}}}',
+    "missing_comma": f'{{"amplitudes": {_PAIRS} "n": 1}}',
+    "unterminated": f'{{"n": 1, "amplitudes": {_PAIRS}',
+    "leading_bom": f'\ufeff{{"n": 1, "amplitudes": {_PAIRS}}}',
+    "extra_data": f'{{"n": 1, "amplitudes": {_PAIRS}}} {{}}',
+    "long_note_first": f'{{"n": 1, "note": {_LONG_PAIRS}, "amplitudes": {_PAIRS}}}',
+    "long_list_as_n": f'{{"n": {_LONG_PAIRS}, "amplitudes": {_PAIRS}}}',
+}
+
+
+def _with_grammar_edges(test):
+    """Add each of ``_GRAMMAR_EDGES`` as an example, at chunk 1 and the default."""
+    for text in _GRAMMAR_EDGES.values():
+        for chunk in (1, core._LOAD_CHUNK):
+            test = example(text=text, chunk=chunk)(test)
+    return test
+
+
 @pytest.mark.filterwarnings("error")
 @settings(_FILE_SETTINGS, max_examples=300)
 @given(text=_state_documents(), chunk=_CHUNK_SIZES)
+@_with_grammar_edges
 # An earlier "amplitudes" that json.loads drops, and brackets in a string.
 @example(text='{"amplitudes": [[true, 0]], "note": "]], [[", "amplitudes": '
               '[[0.6, 0.0], [0.0, 0.8]], "n": 1}', chunk=1)
@@ -568,6 +598,12 @@ def test_load_state_matches_the_reference_decoder(tmp_path, text, chunk):
     path.write_text(text, encoding="utf-8", newline="")
     with mock.patch.object(core, "_LOAD_CHUNK", chunk):
         _assert_loads_as_the_reference(path)
+
+
+def test_json_object_takes_the_arguments_the_loader_passes():
+    # _decode_document calls json.decoder.JSONObject positionally.
+    names = list(inspect.signature(json.decoder.JSONObject).parameters)[:5]
+    assert names == ["s_and_end", "strict", "scan_once", "object_hook", "object_pairs_hook"]
 
 
 # Bytes a flip writes: the JSON punctuation and whitespace, digits, letters
