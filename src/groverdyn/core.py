@@ -65,6 +65,16 @@ NORM_ATOL = 1e-12
 STATE_FILE_NORM_ATOL = 1e-9
 
 
+def _norm_sq(amps: np.ndarray) -> float:
+    """sum |a_i|^2 of a complex128 array, the one sum every norm check compares.
+
+    An entry above about 1e154 squares to inf without a warning, which
+    the checks refuse.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(amps) ** 2))
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumState:
     """Pure state of an n-qubit register as 2^n complex amplitudes.
@@ -86,9 +96,7 @@ class QuantumState:
             raise ValueError(
                 f"expected {1 << self.n} amplitudes for n={self.n}, got shape {amps.shape}"
             )
-        # An entry above about 1e154 squares to inf, which the check refuses.
-        with np.errstate(over="ignore"):
-            norm_sq = float(np.sum(np.abs(amps) ** 2))
+        norm_sq = _norm_sq(amps)
         # Written so that a NaN norm fails too.
         if not abs(norm_sq - 1.0) <= NORM_ATOL:
             raise ValueError(
@@ -101,8 +109,15 @@ class QuantumState:
 
     @classmethod
     def renormalized(cls, n: int, amplitudes) -> "QuantumState":
-        """Build a state from unnormalized amplitudes, scaling to unit norm."""
+        """Build a state from amplitudes, scaled to unit norm unless they have it.
+
+        Amplitudes that pass the constructor's own check, a norm^2 within
+        ``NORM_ATOL`` of 1, come back unscaled, so a state renormalizes to
+        itself bit for bit.  Any others are divided by their norm.
+        """
         amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
+        if abs(_norm_sq(amps) - 1.0) <= NORM_ATOL:
+            return cls(n, amps)
         # Finite entries whose squares overflow give the norm inf, and
         # nonzero ones whose squares all underflow give it 0.
         with np.errstate(over="ignore"):
@@ -139,7 +154,7 @@ class QuantumState:
 
     def norm_sq(self) -> float:
         """Sum of |a_i|^2 (1 up to floating-point drift)."""
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+        return _norm_sq(self.amplitudes)
 
     def __repr__(self) -> str:
         return f"QuantumState(n={self.n}, dim={self.dim})"
@@ -395,7 +410,7 @@ def _decode_document(text: str) -> dict:
 
 
 def load_state(path) -> QuantumState:
-    """Read a state file, reject norm deviations > 1e-9, then renormalize.
+    """Read a state file, reject norm deviations > 1e-9, renormalize unless within NORM_ATOL.
 
     The amplitude list is decoded a chunk at a time (``_decode_value``),
     so the peak stays near the text plus a few registers.  The cyclic
@@ -428,9 +443,7 @@ def load_state(path) -> QuantumState:
         raise ValueError(
             f"state file {path}: expected {1 << n} amplitudes for n={n}, found {amps.size}"
         )
-    # An entry above about 1e154 squares to inf, which the check refuses.
-    with np.errstate(over="ignore"):
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+    norm_sq = _norm_sq(amps)
     if not abs(norm_sq - 1.0) <= STATE_FILE_NORM_ATOL:
         raise ValueError(
             f"state file {path}: norm^2 = {norm_sq!r} deviates from 1 by more "

@@ -345,6 +345,18 @@ def test_avg_success_deterministic_output(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_avg_success_from_a_state_file_matches_the_builder(tmp_path):
+    # The file holds the builder's amplitudes, and load_state hands them
+    # back without rescaling them, so the two sweeps write the same bytes.
+    state = tmp_path / "haar.json"
+    assert main(["state", "make", "haar", "--n", "12", "--seed", "1", "--out", str(state)]) == 0
+    args = ["avg-success", "--n", "12", "--r", "2", "--samples", "500", "--seed", "1"]
+    from_file, from_builder = tmp_path / "file.json", tmp_path / "builder.json"
+    assert main(args + ["--state", str(state), "--out", str(from_file)]) == 0
+    assert main(args + ["--state", "haar", "--out", str(from_builder)]) == 0
+    assert from_file.read_bytes() == from_builder.read_bytes()
+
+
 def test_avg_success_sampled_output_is_pinned(tmp_path):
     # The sampled avg-success command the benchmark times, for one seed:
     # 2000 of C(4096, 2) sets are drawn one at a time, as they always were.

@@ -87,6 +87,13 @@ def test_renormalized_scales_amplitudes_whose_squares_are_subnormal(amps):
     assert abs(state.norm_sq() - 1.0) <= 1e-15
 
 
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_renormalized_leaves_a_unit_norm_state_as_it_is(n, seed):
+    state = random_state(n, np.random.default_rng(seed))
+    again = QuantumState.renormalized(n, state.amplitudes)
+    assert again.amplitudes.tobytes() == state.amplitudes.tobytes()
+
+
 def test_amplitudes_are_read_only():
     state = build_state("eta", 3)
     with pytest.raises(ValueError):
@@ -314,7 +321,7 @@ def test_state_file_round_trip(tmp_path, n, seed):
     save_state(state, path)
     loaded = load_state(path)
     assert loaded.n == n
-    assert np.max(np.abs(loaded.amplitudes - state.amplitudes)) <= 1e-15
+    assert loaded.amplitudes.tobytes() == state.amplitudes.tobytes()
 
 
 def _reference_save_state(state, path):
