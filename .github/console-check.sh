@@ -10,10 +10,15 @@ groverdyn simulate --help > /dev/null
 groverdyn classify --state eta --n 4 --marked 0,1,2,3 --max-period 12
 # 2^16 amplitudes: the state writer encodes them in several chunks.
 groverdyn state make haar --n 16 --seed 1 --out s.json
-# Its bytes are those of json.dumps on the state's pairs, plus a newline.
-# The pairs come from build_state, not load_state, whose renormalization
-# may move the last bit of an entry.
+# Its bytes are those of json.dumps on the state's pairs, plus a newline,
+# and load_state hands back the builder's amplitudes bit for bit: it
+# rescales only a norm the constructor would refuse.
 python -c 'import json; from groverdyn import build_state; a = build_state("haar", 16, seed=1).amplitudes; t = json.dumps({"n": 16, "amplitudes": [[float(z.real), float(z.imag)] for z in a]}) + "\n"; assert open("s.json", "rb").read() == t.encode(), "state file differs from json.dumps"'
+python -c 'from groverdyn import build_state, load_state; assert load_state("s.json").amplitudes.tobytes() == build_state("haar", 16, seed=1).amplitudes.tobytes(), "loaded state differs from the builder"'
+# So a sweep from the file writes the bytes the sweep from the builder writes.
+groverdyn avg-success --state s.json --n 16 --r 3 --samples 2000 --seed 1 --out avg-file.json
+groverdyn avg-success --state haar --n 16 --r 3 --samples 2000 --seed 1 --out avg-builder.json
+cmp avg-file.json avg-builder.json
 groverdyn simulate --state s.json --n 16 --marked 3,77,40000 --steps 20 --out traj.csv
 groverdyn compare --state s.json --n 16 --marked 3,77,40000 --steps 20 --out cmp.json
 # Simulation and closed form agree within the 1e-10 acceptance bound.
