@@ -66,11 +66,7 @@ STATE_FILE_NORM_ATOL = 1e-9
 
 
 def _norm_sq(amps: np.ndarray) -> float:
-    """sum |a_i|^2 of a complex128 array, the one sum every norm check compares.
-
-    An entry above about 1e154 squares to inf without a warning, which
-    the checks refuse.
-    """
+    """sum |a_i|^2, which every norm check compares; an entry above ~1e154 makes it inf."""
     with np.errstate(over="ignore"):
         return float(np.sum(np.abs(amps) ** 2))
 
@@ -111,9 +107,8 @@ class QuantumState:
     def renormalized(cls, n: int, amplitudes) -> "QuantumState":
         """Build a state from amplitudes, scaled to unit norm unless they have it.
 
-        Amplitudes that pass the constructor's own check, a norm^2 within
-        ``NORM_ATOL`` of 1, come back unscaled, so a state renormalizes to
-        itself bit for bit.  Any others are divided by their norm.
+        Amplitudes the constructor accepts come back unscaled, so a state
+        renormalizes to itself bit for bit; others are divided by their norm.
         """
         amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
         if abs(_norm_sq(amps) - 1.0) <= NORM_ATOL:
@@ -355,20 +350,19 @@ def _pairs_array(pairs) -> np.ndarray:
 
 
 def _decode_value(text: str, pos: int) -> tuple:
-    """Decode the top-level member value at text[pos]; return it and the index after it.
+    """Decode the member value at text[pos]; return it and the index after it.
 
-    ``json.decoder.JSONObject`` calls this for every member of the
-    document.  A list of number pairs longer than ``_LOAD_CHUNK``
-    characters comes back as its complex128 array.  It is cut only at pair
-    gaps, into chunks of about that size, each decoded by ``json.loads``
-    and turned into an array before the next is read; the last chunk ends
-    at the first ']' ws ']'.  A chunk that ran past the end of the list
-    would close its brackets early and be no JSON, so it never passes for
-    pairs.  Any other value, a list that fits one chunk included, comes
-    back as ``json``'s scanner decodes it, for ``load_state`` to convert or
-    refuse once the text is gone.  The scanner raises StopIteration where
-    no value starts, which ``JSONObject`` reports as "Expecting value".  A
-    repeated key keeps its last value, so an "amplitudes" member that a
+    ``json.decoder.JSONObject`` calls this for each top-level member.  A
+    list of number pairs longer than ``_LOAD_CHUNK`` characters comes back
+    as its complex128 array.  It is cut only at pair gaps, into chunks of
+    about that size, each decoded by ``json.loads`` and turned into an
+    array before the next is read; the last chunk ends at the first ']' ws
+    ']'.  A chunk that ran past the end of the list would close its
+    brackets early and be no JSON, so it never passes for pairs.  Any other
+    value, a list that fits one chunk included, comes back from ``json``'s
+    scanner, whose StopIteration ``JSONObject`` reports as "Expecting
+    value", for ``load_state`` to convert or refuse once the text is gone.
+    A repeated key keeps its last value, so an "amplitudes" member that a
     later one replaces is never refused.
     """
     if not text.startswith("[", pos):
