@@ -60,8 +60,8 @@ def _as_qubit_count(value) -> int:
 # silent renormalization; use QuantumState.renormalized for that.
 NORM_ATOL = 1e-12
 
-# Looser tolerance applied by the state-file loader before it
-# renormalizes explicitly.
+# Looser tolerance applied by the state-file loader, which then
+# renormalizes what lies outside NORM_ATOL.
 STATE_FILE_NORM_ATOL = 1e-9
 
 
