@@ -8,9 +8,9 @@ same arithmetic for many marked sets at once on their marked amplitudes
 alone, the only entries that P(t) = sum over the marked set of |a_i(t)|^2
 reads, so a step costs O(r) a set instead of O(N).  It is the one
 simulator of P(t) for a marked set, read by the marked-set sweep and by
-``compare``.  ``get_impl``, ``available_backends`` and ``backend_name``
-name the numpy implementation for callers that report or time the
-kernel.
+``compare``; ``success`` sums its P.  ``get_impl``, ``available_backends``
+and ``backend_name`` name the numpy implementation for callers that
+report or time the kernel.
 """
 
 import sys
@@ -91,6 +91,14 @@ def marked_cells(amps: np.ndarray, marked: np.ndarray, steps: int):
         sums = sums - (marked_sums + marked_sums)
         cells = sums * scale + cells
         yield cells
+
+
+def success(cells: np.ndarray):
+    """P = sum of |x|^2 over the last axis: one P a set of a ``(B, r)`` block.
+
+    Every simulated P(t) is this sum, so ``compare``'s equals ``evolve``'s bit for bit.
+    """
+    return np.sum(np.abs(cells) ** 2, axis=-1)
 
 
 def available_backends() -> tuple[str, ...]:

@@ -29,7 +29,6 @@ from .harness import (
     resolve_state,
     sweep_marked_sets,
     write_json,
-    write_snapshots,
     _sweep_plan,
 )
 from .simulator import _as_step_count, _evolve_arguments, evolve
@@ -49,6 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "the Groverian entanglement measure.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    state_help = "state file or " + "|".join(PARAMETER_FREE_BUILDERS)
 
     state = sub.add_parser("state", help="state-file utilities")
     state_sub = state.add_subparsers(dest="state_command", required=True)
@@ -63,8 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="evolve a state, write trajectory CSV")
     simulate.set_defaults(run=_cmd_simulate)
-    simulate.add_argument("--state", required=True,
-                          help="state file or " + "|".join(PARAMETER_FREE_BUILDERS))
+    simulate.add_argument("--state", required=True, help=state_help)
     simulate.add_argument("--n", type=int, required=True)
     simulate.add_argument("--marked", required=True, help="comma-separated indices")
     simulate.add_argument("--steps", type=int, required=True)
@@ -75,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="simulator vs closed form, JSON report")
     compare.set_defaults(run=_cmd_compare)
-    compare.add_argument("--state", required=True)
+    compare.add_argument("--state", required=True, help=state_help)
     compare.add_argument("--n", type=int, required=True)
     compare.add_argument("--marked", required=True)
     compare.add_argument("--steps", type=int, required=True)
@@ -83,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     avg = sub.add_parser("avg-success", help="average P(tau) over marked sets")
     avg.set_defaults(run=_cmd_avg_success)
-    avg.add_argument("--state", required=True)
+    avg.add_argument("--state", required=True,
+                     help=state_help + "|haar|zero_mean (haar and zero_mean seeded by --seed)")
     avg.add_argument("--n", type=int, required=True)
     avg.add_argument("--r", type=int, required=True)
     avg.add_argument("--samples", type=int, default=None)
@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cls = sub.add_parser("classify", help="fixed-point / cycle classification")
     cls.set_defaults(run=_cmd_classify)
-    cls.add_argument("--state", required=True)
+    cls.add_argument("--state", required=True, help=state_help)
     cls.add_argument("--n", type=int, required=True)
     cls.add_argument("--marked", required=True)
     cls.add_argument("--tol", type=float, default=1e-9)
@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     grov = sub.add_parser("groverian", help="Groverian entanglement of a state")
     grov.set_defaults(run=_cmd_groverian)
-    grov.add_argument("--state", required=True)
+    grov.add_argument("--state", required=True, help=state_help)
     grov.add_argument("--n", type=int, required=True)
     grov.add_argument("--restarts", type=int, default=32)
     grov.add_argument("--seed", type=int, default=0)
@@ -134,7 +134,7 @@ def _cmd_simulate(args) -> int:
     trajectory = evolve(state, marked, args.steps, record_full_states=args.full_snapshots)
     trajectory.write_csv(args.out)
     if args.full_snapshots:
-        write_snapshots(args.out + ".states.json", trajectory)
+        trajectory.write_snapshots(args.out + ".states.json")
     return EXIT_OK
 
 

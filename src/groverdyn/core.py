@@ -22,6 +22,8 @@ import numpy as np
 
 def _as_index(value, what: str) -> int:
     try:
+        if isinstance(value, bool):  # which operator.index takes as 0 or 1
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
@@ -417,9 +419,6 @@ def load_state(path) -> QuantumState:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             members = _decode_document(fh.read())
-        # JSON true/false load as bool, which operator.index takes as 1 or 0.
-        if members["n"].__class__ is bool:
-            raise ValueError(f"n must be an integer, got {members['n']!r}")
         n = _as_qubit_count(members["n"])
         amps = members.pop("amplitudes")
         if amps.__class__ is not np.ndarray:

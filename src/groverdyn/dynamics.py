@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .analytic import compute_params
-from .core import MarkedSet, QuantumState, _as_int_in
+from .core import NORM_ATOL, MarkedSet, QuantumState, _as_int_in, _norm_sq
 from .simulator import MAX_TRAJECTORY_STEPS, _registers
 
 # Niven's theorem: cos(omega) = 1 - 2r/N is rational, so omega/pi is rational
@@ -58,8 +58,9 @@ def _rational_pq(num_states: int, r: int) -> tuple[int, int] | None:
 
 
 def _as_tolerance(tol) -> float:
-    """``classify``'s and ``detect_cycle``'s check of ``tol``: a positive finite number."""
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+    """``classify``'s and ``detect_cycle``'s check of ``tol``: a positive finite number, no bool."""
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     return tol
 
@@ -129,16 +130,12 @@ def detect_cycle(
     marked: MarkedSet,
     max_period: int,
     tol: float = 1e-10,
-    up_to_phase: bool = False,
 ) -> int | None:
     """Smallest k <= min(max_period, 6) with U_G^k returning the initial state.
 
-    By default recurrence is exact (the overlap with the initial state
-    must return to 1, phase included), which is the period of the
-    amplitudes as a dynamical system.  With ``up_to_phase`` the criterion
-    is the phase-insensitive fidelity |<phi|U_G^k|phi>|^2 >= 1 - tol;
-    that can halve the reported period when an iterate is a global sign
-    flip of the initial state.  No cycle is longer than 6 steps (Niven's
+    Recurrence is exact (the overlap with the initial state must return
+    to 1, phase included), which is the period of the amplitudes as a
+    dynamical system.  No cycle is longer than 6 steps (Niven's
     theorem), so no later near-return within ``tol`` is reported.  Needs
     ``max_period`` in [1, ``MAX_TRAJECTORY_STEPS``] and a finite ``tol`` > 0.
     """
@@ -148,11 +145,7 @@ def detect_cycle(
     registers = _registers(state, marked, min(max_period, _LONGEST_PERIOD))
     next(registers)  # t = 0, the initial state; checks the arguments
     for k, amps in enumerate(registers, start=1):
-        overlap = complex(np.vdot(initial, amps))
-        if up_to_phase:
-            if 1.0 - abs(overlap) ** 2 <= tol:
-                return k
-        elif abs(overlap - 1.0) <= tol:
+        if abs(complex(np.vdot(initial, amps)) - 1.0) <= tol:
             return k
     return None
 
@@ -171,13 +164,13 @@ def build_fixed_point(marked: MarkedSet, weights) -> QuantumState:
         )
     if marked.r < 2:
         raise ValueError("a zero-mean fixed point needs at least 2 marked states")
-    # A NaN passes both bounds below, and an inf makes the mean warn.
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
+    # Unit weights cannot overflow the mean, so the norm goes first.
+    if not abs(_norm_sq(w) - 1.0) <= NORM_ATOL:
+        raise ValueError("weights must have unit norm")
     if abs(np.mean(w)) > 1e-12:
         raise ValueError(f"weights must have zero mean, got mean {np.mean(w)!r}")
-    if abs(float(np.sum(np.abs(w) ** 2)) - 1.0) > 1e-12:
-        raise ValueError("weights must have unit norm")
     amps = np.zeros(marked.num_states, dtype=np.complex128)
     amps[marked.indices_array] = w
     return QuantumState(marked.num_states.bit_length() - 1, amps)

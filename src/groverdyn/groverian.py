@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import QuantumState, _as_int_in, _as_qubit_count, _as_seed
+from .core import NORM_ATOL, QuantumState, _as_int_in, _as_qubit_count, _as_seed, _norm_sq
 
 _UNITARY_ATOL = 1e-10
 
@@ -65,11 +65,7 @@ class ProductState:
             raise ValueError(f"expected an (n, 2) array of qubit factors, got {q.shape}")
         # to_state expands to 2^n amplitudes.
         _as_qubit_count(q.shape[0])
-        # An entry above about 1e154 squares to inf, which the check refuses.
-        with np.errstate(over="ignore"):
-            norms = np.sum(np.abs(q) ** 2, axis=1)
-        # Written so that a NaN norm fails too.
-        if not np.max(np.abs(norms - 1.0)) <= 1e-12:
+        if not all(abs(_norm_sq(row) - 1.0) <= NORM_ATOL for row in q):
             raise ValueError("every qubit factor must be unit norm")
         q = q.copy()
         q.flags.writeable = False
@@ -374,8 +370,11 @@ def apply_local_unitaries(state: QuantumState, unitaries) -> QuantumState:
     for k, u in enumerate(mats):
         if u.shape != (2, 2):
             raise ValueError(f"unitary {k} has shape {u.shape}, expected (2, 2)")
-        # A NaN or inf entry is refused before the product, which would warn.
-        if not (np.isfinite(u).all() and np.max(np.abs(np.conj(u.T) @ u - eye)) <= _UNITARY_ATOL):
+        # An entry that is not finite, or whose square is not, makes the
+        # deviation inf or NaN, which fails the test without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            deviation = np.max(np.abs(np.conj(u.T) @ u - eye))
+        if not deviation <= _UNITARY_ATOL:
             raise ValueError(f"matrix {k} is not unitary within {_UNITARY_ATOL}")
     t = state.amplitudes.reshape((2,) * state.n)
     for k, u in enumerate(mats):

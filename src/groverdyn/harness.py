@@ -33,10 +33,9 @@ from .core import (
     _as_qubit_count,
     _as_seed,
     _check_compatible,
-    _write_pairs,
     load_state,
 )
-from .simulator import Trajectory, _as_step_count
+from .simulator import _as_step_count
 from . import _kernels
 
 # Enumerate all C(N, r) marked sets up to this count; sample beyond it.
@@ -321,7 +320,7 @@ def sweep_marked_sets(
     for start in range(0, len(marked), rows):
         for cells in _kernels.marked_cells(state.amplitudes, marked[start:start + rows], tau):
             pass
-        p_values[start:start + rows] = np.sum(np.abs(cells) ** 2, axis=1)
+        p_values[start:start + rows] = _kernels.success(cells)
 
     mean_p = float(np.mean(p_values))
     std_error = (
@@ -391,7 +390,7 @@ def compare_run(
     idx = marked.indices_array[None]
     rows = []
     for t, (cells,) in enumerate(_kernels.marked_cells(state.amplitudes, idx, t_max)):
-        p_sim = float(np.sum(np.abs(cells) ** 2))
+        p_sim = float(_kernels.success(cells))
         p_analytic = analytic_success(params, t)
         rows.append(ComparisonRow(t, p_sim, p_analytic, abs(p_sim - p_analytic)))
     return ComparisonReport(
@@ -415,18 +414,3 @@ def write_json(path, payload: dict) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def write_snapshots(path, trajectory: Trajectory) -> None:
-    """Write the full snapshots of ``trajectory`` as {"n": n, "states": [...]}.
-
-    The bytes are those of ``json.dumps`` on that dict plus a newline: each
-    snapshot is laid out as a state file's amplitude list, by ``_write_pairs``.
-    """
-    if trajectory.steps[0].state is None:
-        raise ValueError("the trajectory holds no snapshots; evolve with record_full_states")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"n": {json.dumps(trajectory.n)}, "states": [')
-        for i, step in enumerate(trajectory.steps):
-            fh.write(", " if i else "")
-            _write_pairs(fh, step.state.amplitudes)
-        fh.write("]}\n")

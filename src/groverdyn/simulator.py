@@ -8,6 +8,7 @@ an N x N operator.  One ``grover_iterate`` is the composition of the two.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .core import (
     _as_int_in,
     _check_compatible,
     _moments_from_array,
+    _write_pairs,
 )
 
 # Most amplitudes ``evolve`` keeps as full snapshots over one trajectory:
@@ -64,10 +66,6 @@ def _registers(state: QuantumState, marked: MarkedSet, t_max):
         yield amps
 
 
-def _p_marked(amps: np.ndarray, idx: np.ndarray) -> float:
-    return float(np.sum(np.abs(amps[idx]) ** 2))
-
-
 def grover_iterate(state: QuantumState, marked: MarkedSet) -> QuantumState:
     """One full Grover iteration: oracle phase flip, then diffusion."""
     _check_compatible(state, marked)
@@ -79,7 +77,7 @@ def grover_iterate(state: QuantumState, marked: MarkedSet) -> QuantumState:
 def success_probability(state: QuantumState, marked: MarkedSet) -> float:
     """Probability that measuring the register yields a marked state."""
     _check_compatible(state, marked)
-    return _p_marked(state.amplitudes, marked.indices_array)
+    return float(_kernels.success(state.amplitudes[marked.indices_array]))
 
 
 @dataclass(frozen=True)
@@ -127,6 +125,21 @@ class Trajectory:
                 )
                 fh.write(str(step.t) + "," + ",".join(format(c, ".17g") for c in cols) + "\n")
 
+    def write_snapshots(self, path) -> None:
+        """Write the full snapshots as {"n": n, "states": [...]}.
+
+        The bytes are those of ``json.dumps`` on that dict plus a newline: each
+        snapshot is laid out as a state file's amplitude list, by ``_write_pairs``.
+        """
+        if self.steps[0].state is None:
+            raise ValueError("the trajectory holds no snapshots; evolve with record_full_states")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f'{{"n": {json.dumps(self.n)}, "states": [')
+            for i, step in enumerate(self.steps):
+                fh.write(", " if i else "")
+                _write_pairs(fh, step.state.amplitudes)
+            fh.write("]}\n")
+
 
 def _evolve_arguments(n: int, t_max, record_full_states: bool) -> int:
     """``evolve``'s checks: ``t_max``, and the snapshots of ``n`` qubits within their limit."""
@@ -161,5 +174,5 @@ def evolve(
     for t, amps in enumerate(_registers(state, marked, t_max)):
         moments = _moments_from_array(amps, marked, work)
         snapshot = QuantumState._wrap(state.n, amps.copy()) if record_full_states else None
-        steps.append(TrajectoryStep(t, _p_marked(amps, idx), moments, snapshot))
+        steps.append(TrajectoryStep(t, float(_kernels.success(amps[idx])), moments, snapshot))
     return Trajectory(state.n, marked, tuple(steps))

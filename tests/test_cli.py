@@ -568,6 +568,11 @@ def test_help_names_the_state_builders(capsys):
         main(["state", "make", "--help"])
     assert exc.value.code == 0
     assert "eta|basis|ghz|w|zero_mean|haar|k_uniform" in capsys.readouterr().out
+    for command in ("simulate", "compare", "classify", "groverian"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "state file or eta|ghz|w" in capsys.readouterr().out
+    # avg-success also takes the seeded builders.
     with pytest.raises(SystemExit):
-        main(["simulate", "--help"])
-    assert "state file or eta|ghz|w" in capsys.readouterr().out
+        main(["avg-success", "--help"])
+    assert "eta|ghz|w|haar|zero_mean" in capsys.readouterr().out

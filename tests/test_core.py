@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,16 +14,51 @@ from hypothesis import strategies as st
 import groverdyn
 from groverdyn import (
     MarkedSet,
+    ProductState,
     QuantumState,
+    apply_local_unitaries,
+    build_fixed_point,
     build_state,
+    classify,
     inner_product,
     load_state,
     moments,
+    optimize_product,
     save_state,
 )
 from groverdyn import core
 from groverdyn.core import _SAVE_CHUNK, _moments_from_array
 from helpers import random_marked_set, random_state, reference_load_state, traced_peak
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # Squares and means of these weights overflow; the norm test,
+        # made first, refuses them.
+        (lambda: build_fixed_point(MarkedSet(4, (0, 1)), [1e200, -1e200]), "unit norm"),
+        (lambda: build_fixed_point(MarkedSet(8, (0, 1, 2, 3)), [1e308, 1e308, -1e308, -1e308]),
+         "unit norm"),
+        (lambda: apply_local_unitaries(build_state("eta", 1), [[[1e200, 0], [0, 1]]]),
+         "not unitary"),
+        (lambda: ProductState(np.array([[1e200, 0]])), "unit norm"),
+        (lambda: ProductState(np.array([[math.nan, 0]])), "unit norm"),
+        # operator.index takes a bool as 0 or 1; the integer checker does not.
+        (lambda: build_state("eta", True), "n must be an integer, got True"),
+        (lambda: MarkedSet(4, (True,)), "marked index must be an integer, got True"),
+        (lambda: optimize_product(build_state("eta", 2), restarts=True),
+         "restarts must be an integer, got True"),
+        (lambda: classify(build_state("eta", 3), MarkedSet(8, (1,)), tol=True),
+         "tol must be positive and finite, got True"),
+    ],
+    ids=["fixed-point-square", "fixed-point-mean", "unitary", "factor-inf", "factor-nan",
+         "bool-n", "bool-index", "bool-restarts", "bool-tol"],
+)
+def test_library_refuses_without_a_warning(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_state_requires_power_of_two_length():

@@ -323,12 +323,12 @@ def test_detect_cycle_multiples_recur():
         assert fidelity_after(state, marked, k) >= 1 - 1e-10
 
 
-def test_detect_cycle_up_to_phase_halves_period():
-    # after three iterations the state is the global sign flip of the input
+def test_detect_cycle_sign_flip_is_not_a_return():
+    # after three iterations the state is the global sign flip of the input;
+    # recurrence is exact, phase included, so the period is 6
     state = build_state("eta", 4)
     marked = MarkedSet(16, (0, 1, 2, 3))
     assert detect_cycle(state, marked, 12) == 6
-    assert detect_cycle(state, marked, 12, up_to_phase=True) == 3
 
 
 def test_detect_cycle_two_cycle_and_fixed_point():

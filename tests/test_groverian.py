@@ -478,7 +478,7 @@ def test_local_unitary_rejects_non_unitary():
         )
     # One NaN or inf entry makes U^dagger U - I NaN, which fails every
     # comparison: unchecked, the result is an all-NaN state.
-    # They are refused before U^dagger U is formed, so numpy warns of nothing.
+    # U^dagger U is formed with numpy's warnings off, so it warns of nothing.
     for bad in (math.nan, math.inf):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -27,7 +27,6 @@ from groverdyn.harness import (
     _marked_sets,
     _sweep_plan,
     write_json,
-    write_snapshots,
 )
 from groverdyn.simulator import MAX_TRAJECTORY_STEPS
 from helpers import (
@@ -627,7 +626,7 @@ def test_compare_run_computes_moments_once():
 def _snapshot_bytes_both_ways(trajectory):
     with tempfile.TemporaryDirectory() as tmp:
         chunked = Path(tmp, "chunked.json")
-        write_snapshots(chunked, trajectory)
+        trajectory.write_snapshots(chunked)
         reference = json.dumps({
             "n": trajectory.n,
             "states": [
@@ -672,4 +671,4 @@ def test_write_snapshots_matches_json_dumps_at_default_chunk():
 def test_write_snapshots_needs_snapshots(tmp_path):
     trajectory = evolve(build_state("eta", 2), MarkedSet(4, (1,)), 1)
     with pytest.raises(ValueError, match="no snapshots"):
-        write_snapshots(tmp_path / "s.json", trajectory)
+        trajectory.write_snapshots(tmp_path / "s.json")
