@@ -15,6 +15,11 @@ groverdyn state make haar --n 16 --seed 1 --out s.json
 # rescales only a norm the constructor would refuse.
 python -c 'import json; from groverdyn import build_state; a = build_state("haar", 16, seed=1).amplitudes; t = json.dumps({"n": 16, "amplitudes": [[float(z.real), float(z.imag)] for z in a]}) + "\n"; assert open("s.json", "rb").read() == t.encode(), "state file differs from json.dumps"'
 python -c 'from groverdyn import build_state, load_state; assert load_state("s.json").amplitudes.tobytes() == build_state("haar", 16, seed=1).amplitudes.tobytes(), "loaded state differs from the builder"'
+# 2^18 amplitudes: on two or more CPUs the writer cuts the list into parts
+# and helper interpreters format all but the first.  The bytes are still
+# those of json.dumps, plus a newline.
+groverdyn state make haar --n 18 --seed 1 --out s18.json
+python -c 'import json; from groverdyn import build_state; a = build_state("haar", 18, seed=1).amplitudes; t = json.dumps({"n": 18, "amplitudes": [[float(z.real), float(z.imag)] for z in a]}) + "\n"; assert open("s18.json", "rb").read() == t.encode(), "split state file differs from json.dumps"'
 # So a sweep from the file writes the bytes the sweep from the builder writes.
 groverdyn avg-success --state s.json --n 16 --r 3 --samples 2000 --seed 1 --out avg-file.json
 groverdyn avg-success --state haar --n 16 --r 3 --samples 2000 --seed 1 --out avg-builder.json

@@ -13,11 +13,15 @@ import itertools
 import json
 import math
 import operator
+import os
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from . import _pairtext
 
 
 def _as_index(value, what: str) -> int:
@@ -67,10 +71,27 @@ NORM_ATOL = 1e-12
 STATE_FILE_NORM_ATOL = 1e-9
 
 
-def _norm_sq(amps: np.ndarray) -> float:
-    """sum |a_i|^2, which every norm check compares; an entry above ~1e154 makes it inf."""
+def _norm_sq(amps: np.ndarray, axis: int | None = None):
+    """sum |a_i|^2, which every norm check compares; an entry above ~1e154 makes it inf.
+
+    Without ``axis`` it sums every entry and returns a float; with one, the
+    array of sums along that axis.
+    """
     with np.errstate(over="ignore"):
-        return float(np.sum(np.abs(amps) ** 2))
+        sums = np.sum(np.abs(amps) ** 2, axis=axis)
+    return float(sums) if axis is None else sums
+
+
+def _check_amplitudes(n: int, amps: np.ndarray, norm_sq: float) -> None:
+    """The constructor's refusals of ``amps`` for n qubits, whose ``_norm_sq`` is ``norm_sq``."""
+    if amps.ndim != 1 or amps.size != 1 << n:
+        raise ValueError(f"expected {1 << n} amplitudes for n={n}, got shape {amps.shape}")
+    # Written so that a NaN norm fails too.
+    if not abs(norm_sq - 1.0) <= NORM_ATOL:
+        raise ValueError(
+            f"state norm^2 = {norm_sq!r} deviates from 1 by more than {NORM_ATOL}; "
+            "use QuantumState.renormalized to normalize explicitly"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,17 +111,7 @@ class QuantumState:
         n = _as_qubit_count(self.n)
         object.__setattr__(self, "n", n)
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.size != 1 << self.n:
-            raise ValueError(
-                f"expected {1 << self.n} amplitudes for n={self.n}, got shape {amps.shape}"
-            )
-        norm_sq = _norm_sq(amps)
-        # Written so that a NaN norm fails too.
-        if not abs(norm_sq - 1.0) <= NORM_ATOL:
-            raise ValueError(
-                f"state norm^2 = {norm_sq!r} deviates from 1 by more than {NORM_ATOL}; "
-                "use QuantumState.renormalized to normalize explicitly"
-            )
+        _check_amplitudes(n, amps, _norm_sq(amps))
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -112,26 +123,38 @@ class QuantumState:
         Amplitudes the constructor accepts come back unscaled, so a state
         renormalizes to itself bit for bit; others are divided by their norm.
         """
-        amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
-        if abs(_norm_sq(amps) - 1.0) <= NORM_ATOL:
-            return cls(n, amps)
-        # Finite entries whose squares overflow give the norm inf, and
-        # nonzero ones whose squares all underflow give it 0.
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(amps))
-        if 0.0 < norm * norm < np.finfo(float).tiny:
-            # A subnormal sum of squares has lost digits; the amplitudes
-            # scaled by the largest magnitude keep them.
-            amps = amps / np.abs(amps).max()
-            norm = float(np.linalg.norm(amps))
-        if 0.0 < norm < math.inf:
-            return cls(n, amps / norm)
-        if not np.isfinite(amps).all():
-            raise ValueError(f"cannot normalize amplitudes with norm {norm!r}")
-        if not amps.any():
-            raise ValueError("cannot normalize the zero vector")
-        flow = "underflows to 0" if norm == 0.0 else "overflows to inf"
-        raise ValueError(f"cannot normalize amplitudes: the sum of their squares {flow}")
+        amps = np.array(amplitudes, dtype=np.complex128, order="C", ndmin=1)
+        return cls._renormalized(n, amps, _norm_sq(amps))
+
+    @classmethod
+    def _renormalized(cls, n: int, amps: np.ndarray, norm_sq: float) -> "QuantumState":
+        # ``renormalized`` for a C-contiguous complex128 array that no one
+        # else holds, with ``norm_sq`` its _norm_sq: the state keeps the
+        # array, scaled in place unless the constructor accepts it as it is.
+        if not abs(norm_sq - 1.0) <= NORM_ATOL:
+            # Finite entries whose squares overflow give the norm inf, and
+            # nonzero ones whose squares all underflow give it 0.
+            with np.errstate(over="ignore"):
+                norm = float(np.linalg.norm(amps))
+            if 0.0 < norm * norm < np.finfo(float).tiny:
+                # A subnormal sum of squares has lost digits; the amplitudes
+                # scaled by the largest magnitude keep them.
+                amps /= np.abs(amps).max()
+                norm = float(np.linalg.norm(amps))
+            if not 0.0 < norm < math.inf:
+                if not np.isfinite(amps).all():
+                    raise ValueError(f"cannot normalize amplitudes with norm {norm!r}")
+                if not amps.any():
+                    raise ValueError("cannot normalize the zero vector")
+                flow = "underflows to 0" if norm == 0.0 else "overflows to inf"
+                raise ValueError(
+                    f"cannot normalize amplitudes: the sum of their squares {flow}"
+                )
+            amps /= norm
+            norm_sq = _norm_sq(amps)
+        n = _as_qubit_count(n)
+        _check_amplitudes(n, amps, norm_sq)
+        return cls._wrap(n, amps)
 
     @classmethod
     def _wrap(cls, n: int, amps: np.ndarray) -> "QuantumState":
@@ -285,26 +308,128 @@ def inner_product(a: QuantumState, b: QuantumState) -> complex:
 # string and text stay well under the size of the state itself.
 _SAVE_CHUNK = 1 << 14
 
+# Fewest amplitudes in one part of a split amplitude list.  At n = 18,
+# 2^17 amplitudes take about 90 ms of float.__repr__ and a helper
+# interpreter about 10-16 ms to start, so only registers of n >= 18 split.
+_PART_AMPLITUDES = 1 << 17
+
+# Bytes of a helper's text read per write into the file.
+_COPY_PIECE = 1 << 20
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
 
 def _write_pairs(fh, amps: np.ndarray) -> None:
     """Write ``amps`` as ``json.dumps`` writes its [[re, im], ...] list.
 
     This is the one layout of an amplitude list, in state files and in
-    the ``simulate --full-snapshots`` side file alike.  Each chunk of
-    ``_SAVE_CHUNK`` amplitudes is written by one ``%`` format over its
-    flat re, im floats, so no list is built per pair; the chunks are
-    joined as one list.  ``%r`` is ``float.__repr__``, which ``json``
-    writes for every finite float.  For nan and inf it writes ``nan`` and
-    ``inf`` where ``json`` writes ``NaN`` and ``Infinity``: the entries
-    are finite because ``QuantumState`` refuses a norm that is not, and
-    the simulator's unitary steps keep them so.
+    the ``simulate --full-snapshots`` side file alike.  ``_pairtext``
+    formats it, ``_SAVE_CHUNK`` amplitudes per ``%`` over their flat re, im
+    floats, so no list is built per pair.  ``%r`` is ``float.__repr__``,
+    which ``json`` writes for every finite float.  For nan and inf it
+    writes ``nan`` and ``inf`` where ``json`` writes ``NaN`` and
+    ``Infinity``: the entries are finite because ``QuantumState`` refuses a
+    norm that is not, and the simulator's unitary steps keep them so.
+
+    A list of at least twice ``_PART_AMPLITUDES`` amplitudes is cut into
+    as many contiguous parts as there are usable CPUs, each part at least
+    that long, and formatted on every CPU at once (``_write_parts``).
     """
+    floats = memoryview(np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64))
+    parts = min(_usable_cpus(), amps.size // _PART_AMPLITUDES) if sys.executable else 1
     fh.write("[")
-    for start in range(0, amps.size, _SAVE_CHUNK):
-        chunk = amps[start:start + _SAVE_CHUNK]
-        fh.write(", " if start else "")
-        fh.write(", ".join(["[%r, %r]"] * chunk.size) % tuple(chunk.view(np.float64).tolist()))
+    if parts > 1:
+        _write_parts(fh, floats, parts)
+    else:
+        _format_part(fh, floats)
     fh.write("]")
+
+
+def _format_part(fh, floats: memoryview, skip: int = 0) -> None:
+    """Write the text of the pairs of ``floats`` in this process, less its first ``skip`` characters."""
+    for piece in _pairtext.pair_text(floats, _SAVE_CHUNK):
+        fh.write(piece[skip:])
+        skip = max(skip - len(piece), 0)
+
+
+def _write_parts(fh, floats: memoryview, parts: int) -> None:
+    """Write the text of the pairs of ``floats`` cut into ``parts`` contiguous parts.
+
+    This process formats the first part.  Each other part goes, as raw
+    float64 bytes on stdin, to a helper interpreter (``sys.executable -I
+    -S``) that runs ``_pairtext`` as a script; the helpers start before this
+    process formats its own part, so all parts are formatted at once.  Then
+    each helper's text is copied into ``fh`` in order, ``_COPY_PIECE`` bytes
+    at a time.  A helper's text is ``_pairtext.pair_text``'s, the function
+    that formats every part here, so the bytes are those of one serial
+    pass.  Where a helper cannot start, fails or stops short, the text it
+    wrote is a prefix of its part's, and this process formats the rest.
+    Every helper is waited for before this returns or raises, and killed
+    first if it raises.
+    """
+    import subprocess  # only a split list pays for the import
+
+    pairs = len(floats) // 2
+    bounds = [2 * (pairs * k // parts) for k in range(parts + 1)]
+    views = [floats[a:b] for a, b in zip(bounds, bounds[1:])]
+    helpers = []
+    try:
+        for _ in range(parts - 1):
+            try:
+                helpers.append(subprocess.Popen(
+                    [sys.executable, "-I", "-S", _pairtext.__file__, str(_SAVE_CHUNK)],
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                ))
+            except OSError:  # no helper for this part; this process formats it
+                helpers.append(None)
+        for proc, view in zip(helpers, views[1:]):
+            if proc is not None:
+                try:
+                    proc.stdin.write(view)
+                    proc.stdin.close()
+                except BrokenPipeError:  # the helper has exited; its text is short
+                    pass
+        _format_part(fh, views[0])
+        for proc, view in zip(helpers, views[1:]):
+            fh.write(", ")
+            _copy_part(fh, proc, view)
+    except BaseException:
+        for proc in helpers:
+            if proc is not None:
+                proc.kill()
+        raise
+    finally:
+        for proc in helpers:
+            if proc is not None:
+                proc.stdout.close()
+                try:
+                    proc.stdin.close()
+                except BrokenPipeError:  # the write the helper refused is still buffered
+                    pass
+                proc.wait()
+
+
+def _copy_part(fh, proc, floats: memoryview) -> None:
+    """Copy the text helper ``proc`` (None if it never started) made of ``floats``, or make it here."""
+    copied = 0
+    if proc is not None:
+        header = proc.stdout.readline(24)
+        length = int(header) if header[-1:] == b"\n" and header[:-1].isdigit() else -1
+        while copied < length:
+            piece = proc.stdout.read(min(_COPY_PIECE, length - copied))
+            if not piece:
+                break
+            fh.write(piece.decode("ascii"))
+            copied += len(piece)
+        proc.stdout.close()
+        if proc.wait() == 0 and copied == length:
+            return
+    _format_part(fh, floats, copied)
 
 
 def save_state(state: QuantumState, path) -> None:
@@ -442,4 +567,5 @@ def load_state(path) -> QuantumState:
             f"state file {path}: norm^2 = {norm_sq!r} deviates from 1 by more "
             f"than {STATE_FILE_NORM_ATOL}"
         )
-    return QuantumState.renormalized(n, amps)
+    # The decoder's array is the loader's own, so the state keeps it.
+    return QuantumState._renormalized(n, amps, norm_sq)

@@ -65,7 +65,7 @@ class ProductState:
             raise ValueError(f"expected an (n, 2) array of qubit factors, got {q.shape}")
         # to_state expands to 2^n amplitudes.
         _as_qubit_count(q.shape[0])
-        if not all(abs(_norm_sq(row) - 1.0) <= NORM_ATOL for row in q):
+        if not (abs(_norm_sq(q, axis=1) - 1.0) <= NORM_ATOL).all():
             raise ValueError("every qubit factor must be unit norm")
         q = q.copy()
         q.flags.writeable = False

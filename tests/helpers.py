@@ -17,6 +17,7 @@ call a set, where the package draws a block of sets a call.
 import itertools
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,7 @@ from groverdyn import (
     build_state,
     optimize_product,
 )
-from groverdyn import groverian
+from groverdyn import core, groverian
 from groverdyn.core import STATE_FILE_NORM_ATOL, _as_qubit_count, _check_compatible
 
 
@@ -81,6 +82,34 @@ def traced_peak(call):
     finally:
         tracemalloc.stop()
     return peak, result
+
+
+def split_writer(monkeypatch, parts: int) -> list:
+    """Make ``core._write_pairs`` cut every list of 2 * ``parts`` or more amplitudes into ``parts``.
+
+    Returns a list that gets the float count of each part this process
+    formats itself, so a caller can tell the helpers' parts from its own.
+    """
+    monkeypatch.setattr(core, "_PART_AMPLITUDES", 2)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: parts)
+    formatted = []
+    format_part = core._format_part
+
+    def counting(fh, floats, skip=0):
+        formatted.append(len(floats))
+        format_part(fh, floats, skip)
+
+    monkeypatch.setattr(core, "_format_part", counting)
+    return formatted
+
+
+def assert_no_child() -> None:
+    """Every child process this one started has been waited for."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("a child process was left running or unreaped")
 
 
 def reference_load_state(path) -> QuantumState:

@@ -563,7 +563,10 @@ def test_parser_is_built_once_per_process(tmp_path, capsys):
     assert load_state(tmp_path / "g.json").n == 3
 
 
-def test_help_names_the_state_builders(capsys):
+def test_help_names_the_state_builders(capsys, monkeypatch):
+    # argparse wraps help to the terminal's width, which COLUMNS sets; a
+    # narrow one would break the builder lists below across lines.
+    monkeypatch.setenv("COLUMNS", "200")
     with pytest.raises(SystemExit) as exc:
         main(["state", "make", "--help"])
     assert exc.value.code == 0

@@ -3,6 +3,8 @@ import inspect
 import json
 import math
 import re
+import sys
+import time
 import warnings
 from unittest import mock
 
@@ -28,7 +30,14 @@ from groverdyn import (
 )
 from groverdyn import core
 from groverdyn.core import _SAVE_CHUNK, _moments_from_array
-from helpers import random_marked_set, random_state, reference_load_state, traced_peak
+from helpers import (
+    assert_no_child,
+    random_marked_set,
+    random_state,
+    reference_load_state,
+    split_writer,
+    traced_peak,
+)
 
 
 @pytest.mark.parametrize(
@@ -424,6 +433,67 @@ def test_save_state_writes_the_reference_bytes(tmp_path, state):
         assert (tmp_path / "state.json").read_bytes() == expected, chunk
 
 
+@pytest.mark.parametrize("parts", [1, 2, 3, 5])
+def test_save_state_in_parts_writes_the_reference_bytes(tmp_path, monkeypatch, parts):
+    # 2^7 amplitudes: 3 parts of 42 or 43, 5 of 25 or 26, each over several
+    # chunks of 5 with a partial last one.
+    state = build_state("haar", 7, seed=2)
+    _reference_save_state(state, tmp_path / "reference.json")
+    formatted = split_writer(monkeypatch, parts)
+    monkeypatch.setattr(core, "_SAVE_CHUNK", 5)
+    save_state(state, tmp_path / "state.json")
+    assert (tmp_path / "state.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+    # This process formats its own part; helpers formatted the others.
+    assert formatted == [2 * (state.dim // parts)]
+    assert_no_child()
+
+
+@pytest.mark.parametrize("helper", ["missing", "exits 3", "stops short"])
+def test_save_state_formats_the_part_of_a_helper_that_fails(tmp_path, monkeypatch, helper):
+    # 2^14 amplitudes in 3 parts: a helper's 85 KiB of floats overfill its
+    # pipe, so one that exits without reading refuses the write.
+    state = build_state("haar", 14, seed=3)
+    _reference_save_state(state, tmp_path / "reference.json")
+    formatted = split_writer(monkeypatch, 3)
+    interpreter = tmp_path / "python"
+    if helper == "exits 3":
+        interpreter.write_text("#!/bin/sh\nexit 3\n")
+    elif helper == "stops short":
+        # The real helper, cut after 5000 bytes of its output; head exits 0.
+        interpreter.write_text(f'#!/bin/sh\n"{sys.executable}" "$@" | head -c 5000\n')
+    if helper != "missing":
+        interpreter.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(interpreter))
+    save_state(state, tmp_path / "state.json")
+    assert (tmp_path / "state.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+    assert len(formatted) == 3
+    assert_no_child()
+
+
+def test_write_pairs_kills_its_helpers_when_a_write_fails(tmp_path, monkeypatch):
+    # Helpers that would sleep for a minute: the writer kills them, so it
+    # raises at once, and waits for them, so none is left behind.
+    split_writer(monkeypatch, 3)
+    interpreter = tmp_path / "python"
+    interpreter.write_text("#!/bin/sh\nexec sleep 60\n")
+    interpreter.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(interpreter))
+
+    class FullDisk:
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 3:  # after "[" and this process's part
+                raise OSError(28, "No space left on device")
+
+    start = time.monotonic()
+    with pytest.raises(OSError, match="No space left"):
+        core._write_pairs(FullDisk(), build_state("haar", 7, seed=3).amplitudes)
+    assert time.monotonic() - start < 30
+    assert_no_child()
+
+
 def test_save_state_peaks_below_the_file_it_writes(tmp_path):
     # Encoding a chunk as [re, im] lists peaked near twice the file.
     state = build_state("haar", 16, seed=1)
@@ -524,6 +594,26 @@ def test_state_file_renormalizes_small_deviation(tmp_path):
     path.write_text(json.dumps(payload))
     state = load_state(path)
     assert abs(state.norm_sq() - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("n, deviation", [(12, 0.0), (1, 1e-10)])
+def test_load_state_sums_the_squares_once(tmp_path, n, deviation):
+    # The file check's sum serves the unit-norm test and the state; a sum
+    # over amplitudes scaled to unit norm is the constructor's check.
+    state = build_state("haar", n, seed=4)
+    path = tmp_path / "state.json"
+    save_state(QuantumState._wrap(n, state.amplitudes * math.sqrt(1 + deviation)), path)
+    norm_sq = core._norm_sq
+    sums = []
+
+    def counting(amps, axis=None):
+        sums.append(amps.size)
+        return norm_sq(amps, axis)
+
+    with mock.patch.object(core, "_norm_sq", counting):
+        loaded = load_state(path)
+    assert sums == [state.dim] * (1 if deviation == 0.0 else 2)
+    assert abs(loaded.norm_sq() - 1.0) <= core.NORM_ATOL
 
 
 @pytest.mark.parametrize("n", [3.7, 25, 10**9])

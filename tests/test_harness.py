@@ -30,9 +30,11 @@ from groverdyn.harness import (
 )
 from groverdyn.simulator import MAX_TRAJECTORY_STEPS
 from helpers import (
+    assert_no_child,
     random_marked_set,
     random_state,
     reference_marked_sets,
+    split_writer,
     traced_peak,
     two_cycle_state,
 )
@@ -666,6 +668,20 @@ def test_write_snapshots_matches_json_dumps_at_default_chunk():
     trajectory = evolve(state, MarkedSet(1 << 15, (9, 30000)), 1, record_full_states=True)
     chunked, reference = _snapshot_bytes_both_ways(trajectory)
     assert chunked == reference
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 5])
+def test_write_snapshots_in_parts_matches_json_dumps(monkeypatch, parts):
+    # 3 snapshots of 2^6 amplitudes, each cut into parts of uneven length.
+    state = random_state(6, np.random.default_rng(4))
+    trajectory = evolve(state, MarkedSet(64, (5, 40)), 2, record_full_states=True)
+    formatted = split_writer(monkeypatch, parts)
+    monkeypatch.setattr(core, "_SAVE_CHUNK", 7)
+    chunked, reference = _snapshot_bytes_both_ways(trajectory)
+    assert chunked == reference
+    # This process formats the first part of each snapshot.
+    assert formatted == [2 * (64 // parts)] * 3
+    assert_no_child()
 
 
 def test_write_snapshots_needs_snapshots(tmp_path):
