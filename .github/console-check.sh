@@ -20,6 +20,14 @@ python -c 'from groverdyn import build_state, load_state; assert load_state("s.j
 # those of json.dumps, plus a newline.
 groverdyn state make haar --n 18 --seed 1 --out s18.json
 python -c 'import json; from groverdyn import build_state; a = build_state("haar", 18, seed=1).amplitudes; t = json.dumps({"n": 18, "amplitudes": [[float(z.real), float(z.imag)] for z in a]}) + "\n"; assert open("s18.json", "rb").read() == t.encode(), "split state file differs from json.dumps"'
+# Development mode prints a ResourceWarning for a pipe left open or a helper
+# left running, so the split writer, in a state file and in the snapshot
+# side file, must exit 0 with nothing on stderr, and write the same bytes.
+python -X dev -W error -m groverdyn state make haar --n 18 --seed 1 --out s18-dev.json 2> s18-dev.err
+test ! -s s18-dev.err
+cmp s18-dev.json s18.json
+python -X dev -W error -m groverdyn simulate --state s18.json --n 18 --marked 3 --steps 1 --full-snapshots --out snap18.csv 2> snap18.err
+test ! -s snap18.err
 # So a sweep from the file writes the bytes the sweep from the builder writes.
 groverdyn avg-success --state s.json --n 16 --r 3 --samples 2000 --seed 1 --out avg-file.json
 groverdyn avg-success --state haar --n 16 --r 3 --samples 2000 --seed 1 --out avg-builder.json

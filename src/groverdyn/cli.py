@@ -22,6 +22,7 @@ from .groverian import (
 )
 from .harness import (
     PARAMETER_FREE_BUILDERS,
+    SEEDED_BUILDERS,
     STATE_BUILDERS,
     ConfigurationError,
     build_state,
@@ -83,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     avg = sub.add_parser("avg-success", help="average P(tau) over marked sets")
     avg.set_defaults(run=_cmd_avg_success)
     avg.add_argument("--state", required=True,
-                     help=state_help + "|haar|zero_mean (haar and zero_mean seeded by --seed)")
+                     help="|".join((state_help, *SEEDED_BUILDERS))
+                     + f" ({' and '.join(SEEDED_BUILDERS)} seeded by --seed)")
     avg.add_argument("--n", type=int, required=True)
     avg.add_argument("--r", type=int, required=True)
     avg.add_argument("--samples", type=int, default=None)

@@ -325,68 +325,42 @@ def _usable_cpus() -> int:
 
 
 def _write_pairs(fh, amps: np.ndarray) -> None:
-    """Write ``amps`` as ``json.dumps`` writes its [[re, im], ...] list.
+    """Write ``amps`` into the binary file ``fh`` as ``json.dumps`` writes its [[re, im], ...] list.
 
     This is the one layout of an amplitude list, in state files and in
     the ``simulate --full-snapshots`` side file alike.  ``_pairtext``
-    formats it, ``_SAVE_CHUNK`` amplitudes per ``%`` over their flat re, im
-    floats, so no list is built per pair.  ``%r`` is ``float.__repr__``,
-    which ``json`` writes for every finite float.  For nan and inf it
-    writes ``nan`` and ``inf`` where ``json`` writes ``NaN`` and
-    ``Infinity``: the entries are finite because ``QuantumState`` refuses a
-    norm that is not, and the simulator's unitary steps keep them so.
+    formats it to ASCII bytes, ``_SAVE_CHUNK`` amplitudes per bytes ``%``
+    over their flat re, im floats, so no list is built per pair.  ``%a``
+    writes a float's ``repr``, which ``json`` writes for every finite
+    float.  For nan and inf it writes ``nan`` and ``inf`` where ``json``
+    writes ``NaN`` and ``Infinity``: the entries are finite because
+    ``QuantumState`` refuses a norm that is not, and the simulator's
+    unitary steps keep them so.
 
-    A list of at least twice ``_PART_AMPLITUDES`` amplitudes is cut into
-    as many contiguous parts as there are usable CPUs, each part at least
-    that long, and formatted on every CPU at once (``_write_parts``).
+    The list is cut into as many contiguous parts as there are usable
+    CPUs, each part at least ``_PART_AMPLITUDES`` long, so a shorter list
+    is one part.  This process formats the first part.  Each other part
+    goes, as raw float64 bytes on stdin, to a helper interpreter
+    (``sys.executable -I -S``) that runs ``_pairtext`` as a script; every
+    helper starts before any is fed, so all parts are formatted at once.
+    Then each helper's bytes are copied into ``fh`` in order,
+    ``_COPY_PIECE`` at a time.  A helper's text is ``_pairtext.pair_text``'s,
+    the function that formats every part here, so the bytes are those of
+    one serial pass.  Where a helper cannot start, fails or stops short,
+    the text it wrote is a prefix of its part's, and this process formats
+    the rest.  Every helper is killed, if it still runs, and waited for
+    before this returns or raises.
     """
     floats = memoryview(np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64))
-    parts = min(_usable_cpus(), amps.size // _PART_AMPLITUDES) if sys.executable else 1
-    fh.write("[")
-    if parts > 1:
-        _write_parts(fh, floats, parts)
-    else:
-        _format_part(fh, floats)
-    fh.write("]")
-
-
-def _format_part(fh, floats: memoryview, skip: int = 0) -> None:
-    """Write the text of the pairs of ``floats`` in this process, less its first ``skip`` characters."""
-    for piece in _pairtext.pair_text(floats, _SAVE_CHUNK):
-        fh.write(piece[skip:])
-        skip = max(skip - len(piece), 0)
-
-
-def _write_parts(fh, floats: memoryview, parts: int) -> None:
-    """Write the text of the pairs of ``floats`` cut into ``parts`` contiguous parts.
-
-    This process formats the first part.  Each other part goes, as raw
-    float64 bytes on stdin, to a helper interpreter (``sys.executable -I
-    -S``) that runs ``_pairtext`` as a script; the helpers start before this
-    process formats its own part, so all parts are formatted at once.  Then
-    each helper's text is copied into ``fh`` in order, ``_COPY_PIECE`` bytes
-    at a time.  A helper's text is ``_pairtext.pair_text``'s, the function
-    that formats every part here, so the bytes are those of one serial
-    pass.  Where a helper cannot start, fails or stops short, the text it
-    wrote is a prefix of its part's, and this process formats the rest.
-    Every helper is waited for before this returns or raises, and killed
-    first if it raises.
-    """
-    import subprocess  # only a split list pays for the import
-
+    parts = max(1, min(_usable_cpus(), amps.size // _PART_AMPLITUDES)) if sys.executable else 1
     pairs = len(floats) // 2
     bounds = [2 * (pairs * k // parts) for k in range(parts + 1)]
     views = [floats[a:b] for a, b in zip(bounds, bounds[1:])]
+    fh.write(b"[")
     helpers = []
     try:
-        for _ in range(parts - 1):
-            try:
-                helpers.append(subprocess.Popen(
-                    [sys.executable, "-I", "-S", _pairtext.__file__, str(_SAVE_CHUNK)],
-                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                ))
-            except OSError:  # no helper for this part; this process formats it
-                helpers.append(None)
+        for _ in views[1:]:
+            helpers.append(_start_helper())
         for proc, view in zip(helpers, views[1:]):
             if proc is not None:
                 try:
@@ -396,22 +370,39 @@ def _write_parts(fh, floats: memoryview, parts: int) -> None:
                     pass
         _format_part(fh, views[0])
         for proc, view in zip(helpers, views[1:]):
-            fh.write(", ")
+            fh.write(b", ")
             _copy_part(fh, proc, view)
-    except BaseException:
-        for proc in helpers:
-            if proc is not None:
-                proc.kill()
-        raise
     finally:
         for proc in helpers:
             if proc is not None:
+                proc.kill()  # a no-op once _copy_part has waited for it
                 proc.stdout.close()
                 try:
                     proc.stdin.close()
                 except BrokenPipeError:  # the write the helper refused is still buffered
                     pass
                 proc.wait()
+    fh.write(b"]")
+
+
+def _format_part(fh, floats: memoryview, skip: int = 0) -> None:
+    """Write the text of the pairs of ``floats`` in this process, less its first ``skip`` bytes."""
+    for piece in _pairtext.pair_text(floats, _SAVE_CHUNK):
+        fh.write(piece[skip:])
+        skip = max(skip - len(piece), 0)
+
+
+def _start_helper():
+    """Start a helper interpreter that formats one part, or return None if it cannot start."""
+    import subprocess  # only a split list pays for the import
+
+    try:
+        return subprocess.Popen(
+            [sys.executable, "-I", "-S", _pairtext.__file__, str(_SAVE_CHUNK)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        )
+    except OSError:  # this process formats the part
+        return None
 
 
 def _copy_part(fh, proc, floats: memoryview) -> None:
@@ -424,7 +415,7 @@ def _copy_part(fh, proc, floats: memoryview) -> None:
             piece = proc.stdout.read(min(_COPY_PIECE, length - copied))
             if not piece:
                 break
-            fh.write(piece.decode("ascii"))
+            fh.write(piece)
             copied += len(piece)
         proc.stdout.close()
         if proc.wait() == 0 and copied == length:
@@ -438,10 +429,10 @@ def save_state(state: QuantumState, path) -> None:
     The bytes are those of ``json.dumps({"n": ..., "amplitudes": ...})``
     plus a newline; ``_write_pairs`` writes the amplitude list.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"n": {json.dumps(state.n)}, "amplitudes": ')
+    with open(path, "wb") as fh:
+        fh.write(b'{"n": %d, "amplitudes": ' % state.n)
         _write_pairs(fh, state.amplitudes)
-        fh.write("}\n")
+        fh.write(b"}\n")
 
 
 # JSON whitespace, and the two places an amplitude list is cut: the gap

@@ -348,7 +348,7 @@ def grid_search_oracle(state: QuantumState, resolution: int) -> float:
 
     amps = state.amplitudes
     if state.n == 1:
-        return float(np.sum(np.abs(amps) ** 2))
+        return _norm_sq(amps)
 
     remainder = amps.reshape(2, -1)
     if state.n == 2:

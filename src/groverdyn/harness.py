@@ -71,6 +71,8 @@ _DRAW_BLOCK = 1 << 16
 STATE_BUILDERS = ("eta", "basis", "ghz", "w", "zero_mean", "haar", "k_uniform")
 # Builders usable directly as a --state name (no extra parameters).
 PARAMETER_FREE_BUILDERS = ("eta", "ghz", "w")
+# Builders that draw from a seeded generator, and refuse to build without one.
+SEEDED_BUILDERS = ("haar", "zero_mean")
 
 
 class ConfigurationError(Exception):
@@ -93,6 +95,8 @@ def build_state(name: str, n: int, k: int | None = None, seed: int | None = None
         k = _as_index(k, "k")
     if seed is not None:
         seed = _as_seed(seed)
+    elif name in SEEDED_BUILDERS:
+        raise ValueError(f"{name} state needs a seed")
     num_states = 1 << n
 
     if name == "eta":
@@ -108,8 +112,6 @@ def build_state(name: str, n: int, k: int | None = None, seed: int | None = None
         amps = np.zeros(num_states, dtype=np.complex128)
         amps[[1 << j for j in range(n)]] = 1.0 / math.sqrt(n)
     elif name == "zero_mean":
-        if seed is None:
-            raise ValueError("zero_mean state needs a seed")
         rng = np.random.default_rng(seed)
         half = rng.standard_normal(num_states // 2) + 1j * rng.standard_normal(num_states // 2)
         amps = np.empty(num_states, dtype=np.complex128)
@@ -117,8 +119,6 @@ def build_state(name: str, n: int, k: int | None = None, seed: int | None = None
         amps[1::2] = -half
         return QuantumState.renormalized(n, amps)
     elif name == "haar":
-        if seed is None:
-            raise ValueError("haar state needs a seed")
         rng = np.random.default_rng(seed)
         amps = rng.standard_normal(num_states) + 1j * rng.standard_normal(num_states)
         return QuantumState.renormalized(n, amps)
@@ -135,7 +135,7 @@ def resolve_state(spec: str, n: int, seed: int | None = None) -> QuantumState:
     """Turn a state spec (builder name or JSON file path) into a state."""
     if spec in PARAMETER_FREE_BUILDERS:
         return build_state(spec, n)
-    if spec in ("haar", "zero_mean"):
+    if spec in SEEDED_BUILDERS:
         return build_state(spec, n, seed=seed)
     if spec in STATE_BUILDERS:
         raise ValueError(

@@ -8,7 +8,6 @@ an N x N operator.  One ``grover_iterate`` is the composition of the two.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,12 +132,12 @@ class Trajectory:
         """
         if self.steps[0].state is None:
             raise ValueError("the trajectory holds no snapshots; evolve with record_full_states")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f'{{"n": {json.dumps(self.n)}, "states": [')
+        with open(path, "wb") as fh:
+            fh.write(b'{"n": %d, "states": [' % self.n)
             for i, step in enumerate(self.steps):
-                fh.write(", " if i else "")
+                fh.write(b", " if i else b"")
                 _write_pairs(fh, step.state.amplitudes)
-            fh.write("]}\n")
+            fh.write(b"]}\n")
 
 
 def _evolve_arguments(n: int, t_max, record_full_states: bool) -> int:

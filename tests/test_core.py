@@ -2,7 +2,9 @@ import gc
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import time
 import warnings
@@ -448,7 +450,9 @@ def test_save_state_in_parts_writes_the_reference_bytes(tmp_path, monkeypatch, p
     assert_no_child()
 
 
-@pytest.mark.parametrize("helper", ["missing", "exits 3", "stops short"])
+@pytest.mark.parametrize("helper", [
+    "missing", "exits 3", "stops short", "garbled length line", "writes past its length",
+])
 def test_save_state_formats_the_part_of_a_helper_that_fails(tmp_path, monkeypatch, helper):
     # 2^14 amplitudes in 3 parts: a helper's 85 KiB of floats overfill its
     # pipe, so one that exits without reading refuses the write.
@@ -461,13 +465,37 @@ def test_save_state_formats_the_part_of_a_helper_that_fails(tmp_path, monkeypatc
     elif helper == "stops short":
         # The real helper, cut after 5000 bytes of its output; head exits 0.
         interpreter.write_text(f'#!/bin/sh\n"{sys.executable}" "$@" | head -c 5000\n')
+    elif helper == "garbled length line":
+        interpreter.write_text(f'#!/bin/sh\necho notanumber\nexec "{sys.executable}" "$@"\n')
+    elif helper == "writes past its length":
+        # The real helper, then bytes its length line does not count.  The
+        # writer may have closed the pipe by then, so the echo may fail;
+        # the helper still exits 0 and its text is used.
+        interpreter.write_text(
+            f'#!/bin/sh\ntrap "" PIPE\n"{sys.executable}" "$@"\necho extra\nexit 0\n')
     if helper != "missing":
         interpreter.chmod(0o755)
     monkeypatch.setattr(sys, "executable", str(interpreter))
     save_state(state, tmp_path / "state.json")
     assert (tmp_path / "state.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
-    assert len(formatted) == 3
+    # This process formats its own part, and the part of each helper that failed.
+    assert len(formatted) == (1 if helper == "writes past its length" else 3)
     assert_no_child()
+
+
+def test_a_one_part_save_does_not_import_subprocess(tmp_path):
+    # perfbench times one-part saves in a fresh interpreter, which must
+    # not pay for the import that only a split list needs.
+    src = os.path.dirname(os.path.dirname(groverdyn.__file__))
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "from groverdyn import build_state, save_state; "
+        f"save_state(build_state('haar', 17, seed=1), {str(tmp_path / 'state.json')!r}); "
+        "assert 'subprocess' not in sys.modules, 'subprocess was imported'"
+    )
+    result = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "state.json").stat().st_size > 0
 
 
 def test_write_pairs_kills_its_helpers_when_a_write_fails(tmp_path, monkeypatch):
