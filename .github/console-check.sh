@@ -103,6 +103,17 @@ groverdyn groverian --state ghz --n 8 --restarts 300 --seed 5 > ghz8-groverian.j
 groverdyn groverian --state ghz --n 8 --restarts 300 --seed 5 > ghz8-groverian-again.json
 cmp ghz8-groverian.json ghz8-groverian-again.json
 python -c 'import json; d = json.load(open("ghz8-groverian.json")); assert abs(d["p_max"] - 0.5) <= 1e-12, d'
+# The screen stops the starts that end far below the best.  In these Haar
+# states (n, build_state seed, optimizer seed) a random start stalls on a
+# plateau far below the best start, then climbs and wins, so the screen
+# must keep it: p_max and argmax are those of the full ascent, the
+# optimizer with SCREEN_MARGIN = inf.
+for plateau in "12 515 15" "10 1083 83" "12 105316 8316"; do
+  set -- $plateau
+  groverdyn state make haar --n "$1" --seed "$2" --out "plateau-$2.json"
+  groverdyn groverian --state "plateau-$2.json" --n "$1" --restarts 8 --seed "$3" > "plateau-$2-groverian.json"
+  python -c 'import json, math, sys; from groverdyn import groverian, load_state; name, seed = sys.argv[1:]; d = json.load(open(f"{name}-groverian.json")); groverian.SCREEN_MARGIN = math.inf; r = groverian.optimize_product(load_state(f"{name}.json"), restarts=8, seed=int(seed)); assert d["p_max"] == r.p_max, (d["p_max"], r.p_max); assert d["argmax"] == [[c0.real, c0.imag, c1.real, c1.imag] for c0, c1 in r.argmax.qubit_states], "argmax differs from the full ascent"' "plateau-$2" "$3"
+done
 # All 10,001 starts at n = 3 in one group; W's P_max is 4/9.
 timeout 60 groverdyn groverian --state w --n 3 --restarts 10000 > w3-groverian.json
 python -c 'import json; d = json.load(open("w3-groverian.json")); assert abs(d["p_max"] - 4 / 9) <= 1e-9, d'

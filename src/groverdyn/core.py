@@ -15,6 +15,7 @@ import math
 import operator
 import os
 import re
+import reprlib
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -453,18 +454,38 @@ _LOAD_CHUNK = 1 << 17
 def _pairs_array(pairs) -> np.ndarray:
     """The float64 re, im, re, im, ... of a decoded [[re, im], ...] list.
 
-    Raises ValueError, TypeError or OverflowError unless every pair is two
-    JSON numbers that fit a float.  The types are checked exactly: JSON
-    true/false load as bool, a subclass of int.  This loop checks a pair
-    in about 50 ns on Python 3.11, faster than C-level set(map(type, ...))
-    passes over the same list.
+    Raises ValueError unless every pair is two JSON numbers, naming the
+    first item that is not, and OverflowError unless each fits a float.
+    The types are checked exactly: JSON true/false load as bool, a
+    subclass of int.  This loop checks a pair in about 50 ns on Python
+    3.11, faster than C-level set(map(type, ...)) passes over the same
+    list; the offending item is looked for only once it has failed, and
+    ``reprlib`` cuts a long one short.
     """
-    for real, imag in pairs:
-        if (real.__class__ is not float and real.__class__ is not int) or (
-            imag.__class__ is not float and imag.__class__ is not int
-        ):
-            raise ValueError(f"amplitudes must be [re, im] pairs of numbers, got {[real, imag]!r}")
+    try:
+        for real, imag in pairs:
+            if (real.__class__ is not float and real.__class__ is not int) or (
+                imag.__class__ is not float and imag.__class__ is not int
+            ):
+                raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError(
+            "amplitudes must be [re, im] pairs of numbers, got "
+            + reprlib.repr(_first_non_pair(pairs))
+        ) from None
     return np.fromiter(itertools.chain.from_iterable(pairs), np.float64, 2 * len(pairs))
+
+
+def _first_non_pair(pairs):
+    """The first item of the list ``pairs`` that is not a list of two numbers; a non-list itself."""
+    if pairs.__class__ is not list:
+        return pairs
+    for item in pairs:
+        if item.__class__ is not list or len(item) != 2 or any(
+            x.__class__ is not float and x.__class__ is not int for x in item
+        ):
+            return item
+    return pairs
 
 
 def _decode_value(text: str, pos: int) -> tuple:

@@ -5,7 +5,8 @@ The maximization over local unitaries reduces to a maximization over
 product states, which is what is implemented: an alternating optimizer
 whose single-qubit update is an exact argmax (the normalized
 contraction of the state against the other factors), run from many
-starts in lockstep with the bits each start reaches on its own, plus an
+starts in lockstep with the bits each start reaches on its own, the
+starts that stall far below the best screened out early, plus an
 independent oracle for n <= 3 that grids at most one qubit and finishes
 the last two exactly, with the closed-form largest eigenvalue of a 2x2
 M M^dagger.
@@ -28,6 +29,18 @@ _UNITARY_ATOL = 1e-10
 # keeps an ascent going.
 MAX_SWEEPS = 1000
 SWEEP_TOL = 1e-12
+
+# The screen.  A start's screened value is its value after the first sweep
+# that gains less than SCREEN_TOL; a start whose screened value is more than
+# SCREEN_MARGIN below the best one stops there, and only the others ascend
+# on to SWEEP_TOL.  A start can stall on a plateau far below the best and
+# then climb to win.  Haar starts at n = 12 (build_state seed 515,
+# optimizer seed 15), n = 10 (1083, 83) and n = 12 (105316, 8316) do,
+# gaining no less than 6.7e-8, 3.8e-9 and 1.7e-9 a sweep there; SCREEN_TOL
+# sits a factor of 3.4 below the slowest.  In 2240 seeded states at
+# n = 4-14, 8 random starts each, no winner was stopped at 1e-9 or 5e-10.
+SCREEN_TOL = 5e-10
+SCREEN_MARGIN = 1e-4
 
 # Most random starts one optimization takes: 40 times the 256 that serve
 # as a reference for the best overlap.  200,000 starts at n = 2 ran for
@@ -83,7 +96,26 @@ class ProductState:
 
 @dataclass(frozen=True)
 class GroverianResult:
-    """Outcome of the product-state overlap maximization."""
+    """Outcome of the product-state overlap maximization.
+
+    A start is *selected* when its screened value (``SCREEN_TOL``) is within
+    ``SCREEN_MARGIN`` of the best screened value of all starts; every
+    selected start has ascended to its end.
+
+    - ``p_max``: the best final value of a selected start, the largest
+      squared overlap with a product state found.
+    - ``g``: sqrt(1 - p_max), the Groverian measure.
+    - ``argmax``: the product state that start ended on; its overlap is
+      p_max.  Ties keep the earliest start.
+    - ``restarts_used``: the starts taken, the warm start and ``restarts``
+      random ones.
+    - ``converged``: True if that start stopped at a sweep that gained
+      less than ``SWEEP_TOL``, False if it ran ``MAX_SWEEPS`` sweeps.
+    - ``best_per_restart``: one value per start, in start order: a
+      selected start's final value, and any other start's screened value,
+      which its whole ascent passes through: a lower bound on where that
+      ascent would end.
+    """
 
     p_max: float
     g: float
@@ -191,7 +223,12 @@ def _sweeper(psi_t: np.ndarray, factors: np.ndarray) -> Callable[[], np.ndarray]
     return sweep
 
 
-def _ascend(psi_t: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ascend(
+    psi_t: np.ndarray,
+    starts: np.ndarray,
+    screened: np.ndarray | None = None,
+    best: float = -math.inf,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Alternating exact single-qubit updates in Gauss-Seidel order, run in
     # lockstep from an (L, n, 2) stack of starts; returns each lane's value,
     # factors and converged flag.  The value after each update is
@@ -204,29 +241,64 @@ def _ascend(psi_t: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # makes, so each lane keeps the bits of an ascent on its own.  A lane
     # leaves the stack at the first sweep that gains less than SWEEP_TOL,
     # or after MAX_SWEEPS.
+    #
+    # Given an (L,) array ``screened``, the ascent also screens: each lane's
+    # screened value, written there, is its value after the first sweep
+    # that gains less than SCREEN_TOL, or its last value if it stops first.
+    # A lane leaves as soon as its screened value is more than SCREEN_MARGIN
+    # below the best screened value, ``best`` or any lane's; it returns the
+    # value, factors and flag (False unless that sweep stopped it) it had
+    # then.  Every other lane ascends as it would unscreened.
     lanes = len(starts)
     values = np.zeros(lanes)
     factors_out = np.array(starts, dtype=np.complex128)
     converged = np.zeros(lanes, dtype=bool)
-    # The active lanes' original indices, their factors qubit by qubit and
-    # their value after the last sweep.
+    # The active lanes' original indices, their factors qubit by qubit, their
+    # value after the last sweep, the gain below which a sweep looks at
+    # them (the larger tolerance until a lane is screened, then SWEEP_TOL)
+    # and their screened values, NaN until screened.
     active = np.arange(lanes)
     factors = factors_out.transpose(1, 0, 2).copy()
     previous = np.zeros(lanes)
+    tol = np.full(lanes, SWEEP_TOL if screened is None else max(SCREEN_TOL, SWEEP_TOL))
+    marks = np.full(lanes, math.nan)
     sweep_once = None
     for sweep in range(1, MAX_SWEEPS + 1):
         if sweep_once is None:
             sweep_once = _sweeper(psi_t, factors)
         value = sweep_once()
-        done = value - previous < SWEEP_TOL
-        stop = done | (sweep == MAX_SWEEPS)
+        gain = value - previous
+        hit = gain < tol
+        last = sweep == MAX_SWEEPS
+        if not (last or np.count_nonzero(hit)):
+            previous = value
+            continue
+        done = stop = gain < SWEEP_TOL
+        if screened is not None:
+            # The lanes screened at this sweep: those not screened before
+            # that gain less than SCREEN_TOL or stop, which hit covers
+            # before the last sweep.
+            fresh = np.isnan(marks)
+            if not last:
+                fresh &= hit
+            np.copyto(marks, value, where=fresh)
+            np.copyto(tol, SWEEP_TOL, where=fresh)
+            # fmax skips the NaN of a lane not yet screened, and NaN
+            # compares False, so such a lane stays.
+            best = float(np.fmax.reduce(marks, initial=best))
+            stop = done | (marks < best - SCREEN_MARGIN)
+        if last:
+            stop = np.ones_like(done)
         if np.count_nonzero(stop):
             gone = active[stop]
             values[gone] = value[stop]
             factors_out[gone] = factors[:, stop].transpose(1, 0, 2)
             converged[gone] = done[stop]
+            if screened is not None:
+                screened[gone] = marks[stop]
             keep = ~stop
             active, factors, value = active[keep], factors[:, keep], value[keep]
+            tol, marks = tol[keep], marks[keep]
             # Its buffers go before the next stack's are made.
             sweep_once = None
             if not len(active):
@@ -249,13 +321,18 @@ def optimize_product(
 
     Runs one deterministic ascent from the largest-|amplitude| basis
     state (so the result can never fall below the best computational
-    basis overlap) followed by ``restarts`` seeded random starts.  The
-    best value over all starts is reported; ties keep the earliest start.
-    An ascent stops after ``MAX_SWEEPS`` sweeps or at the first sweep that
+    basis overlap) followed by ``restarts`` seeded random starts.  An
+    ascent stops after ``MAX_SWEEPS`` sweeps or at the first sweep that
     gains less than ``SWEEP_TOL``; ``converged`` tells which, for the best.
-    The starts ascend in lockstep, in groups of ``_ASCENT_CELLS >> n``
-    (at least one), so a group holds about 16 bytes x ``_ASCENT_CELLS`` of
-    products at once; each start ends with the bits it would reach alone.
+    A start whose value after its first sweep that gains less than
+    ``SCREEN_TOL`` is more than ``SCREEN_MARGIN`` below the best such
+    value so far stops there.  The best value of the starts within the
+    margin of the best screened value of all is reported; ties keep the
+    earliest start (``GroverianResult``).  The starts ascend in lockstep,
+    in groups of ``_ASCENT_CELLS >> n`` (at least one), so a group holds
+    about 16 bytes x ``_ASCENT_CELLS`` of products at once; each start
+    ends with the bits it would reach alone, and the selection reads only
+    screened values, so the grouping does not change the result.
     """
     restarts, seed = _optimizer_arguments(restarts, seed)
     n = state.n
@@ -265,10 +342,13 @@ def optimize_product(
     warm = _basis_factors(n, int(np.argmax(np.abs(state.amplitudes))))
     group = max(1, _ASCENT_CELLS >> n)
 
-    best_value = -1.0
-    best_factors = warm
-    best_converged = False
-    per_restart: list[float] = []
+    # Every start's screened value, value, flag and, a group at a time,
+    # factors: 32 n bytes a start.
+    screened = np.empty(restarts + 1)
+    values = np.empty(restarts + 1)
+    converged = np.empty(restarts + 1, dtype=bool)
+    factors = []
+    best = -math.inf
     for first in range(0, restarts + 1, group):
         # Draw each group's starts when its ascent begins, in the order of
         # the starts, so one group is held at a time.
@@ -276,23 +356,22 @@ def optimize_product(
         starts = _random_factors(n, rng, end - max(first, 1))
         if first == 0:
             starts = np.concatenate([warm[None], starts])
-        values, out_factors, converged = _ascend(psi_t, starts)
-        per_restart.extend(values.tolist())
-        # argmax takes the first of equal values, so ties keep the earliest start.
-        lane = int(np.argmax(values))
-        if values[lane] > best_value:
-            best_value = float(values[lane])
-            best_factors = out_factors[lane]
-            best_converged = bool(converged[lane])
+        part = slice(first, end)
+        values[part], group_factors, converged[part] = _ascend(psi_t, starts, screened[part], best)
+        factors.append(group_factors)
+        best = max(best, float(screened[part].max()))
 
-    p_max = best_value
+    selected = screened >= best - SCREEN_MARGIN
+    # argmax takes the first of equal values, so ties keep the earliest start.
+    lane = int(np.argmax(np.where(selected, values, -math.inf)))
+    p_max = float(values[lane])
     return GroverianResult(
         p_max=p_max,
         g=math.sqrt(max(0.0, 1.0 - p_max)),
-        argmax=ProductState(best_factors),
+        argmax=ProductState(factors[lane // group][lane % group]),
         restarts_used=restarts + 1,
-        converged=best_converged,
-        best_per_restart=tuple(per_restart),
+        converged=bool(converged[lane]),
+        best_per_restart=tuple(np.where(selected, values, screened).tolist()),
     )
 
 

@@ -9,7 +9,8 @@ state-file loader: it decodes the whole document with ``json.load``.
 LAPACK's 2x2 SVD instead of the closed form.  ``reference_ascend`` is
 the alternating ascent from one start at a time, written with
 ``np.linalg.norm`` and ``np.outer``, and ``reference_optimize_product``
-runs the optimizer's starts through it one after another.
+runs the optimizer's starts through it one after another, each to its
+end, and screens them afterwards from their per-sweep values.
 ``reference_marked_sets`` draws sampled marked sets one ``rng.choice``
 call a set, where the package draws a block of sets a call.
 """
@@ -190,24 +191,53 @@ def reference_ascend(psi_t: np.ndarray, factors: np.ndarray):
     return value, factors, converged, history
 
 
+def reference_screened_value(history: list, n: int) -> float:
+    """A start's screened value, from the per-update values ``reference_ascend`` returns.
+
+    Its value after the first sweep that gains less than ``SCREEN_TOL``,
+    or after its last sweep if none does.
+    """
+    sweeps = history[n - 1 :: n]
+    previous = 0.0
+    for value in sweeps:
+        if value - previous < groverian.SCREEN_TOL:
+            return value
+        previous = value
+    return sweeps[-1]
+
+
 def reference_optimize_product(state: QuantumState, restarts: int = 32, seed: int = 0):
-    """``optimize_product`` as it was, one ascent per start, each start drawn when it begins."""
+    """``optimize_product`` one whole ascent per start, each start drawn when it begins.
+
+    Every start ascends to its end; its screened value comes from that
+    ascent's sweeps.  The starts whose screened value is within
+    ``SCREEN_MARGIN`` of the best are selected: the best value among them
+    wins, ties keeping the earliest, and ``best_per_restart`` holds each
+    selected start's value and every other start's screened value.
+    """
     restarts, seed = groverian._optimizer_arguments(restarts, seed)
     n = state.n
     psi_t = state.amplitudes.reshape((2,) * n)
     rng = np.random.default_rng(seed)
     warm = groverian._basis_factors(n, int(np.argmax(np.abs(state.amplitudes))))
-    best_value = -1.0
-    best_factors = warm
-    best_converged = False
-    per_restart = []
+    runs = []
     for i in range(restarts + 1):
         if i == 0:
             factors = warm
         else:
             factors = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
             factors = factors / np.linalg.norm(factors, axis=1, keepdims=True)
-        value, out_factors, converged, _ = reference_ascend(psi_t, factors)
+        value, out_factors, converged, history = reference_ascend(psi_t, factors)
+        runs.append((reference_screened_value(history, n), value, out_factors, converged))
+    floor = max(run[0] for run in runs) - groverian.SCREEN_MARGIN
+    best_value = -1.0
+    best_factors = warm
+    best_converged = False
+    per_restart = []
+    for screened, value, out_factors, converged in runs:
+        if screened < floor:
+            per_restart.append(screened)
+            continue
         per_restart.append(value)
         if value > best_value:
             best_value = value

@@ -552,6 +552,50 @@ def test_state_file_rejects_entries_that_are_not_numbers(tmp_path, payload):
         load_state(path)
 
 
+# Amplitude values and list items that are no [re, im] pair, and the item
+# the refusal names.  These escaped with Python's unpacking messages.
+_NOT_PAIRS = {
+    "long_pair": ([1, 0, 0], "[1, 0, 0]"),
+    "short_pair": ([1], "[1]"),
+    "bare_float": (1.0, "1.0"),
+    "string": ("ab", "'ab'"),
+}
+_NOT_LISTS = {"object": ({"a": 1}, "{'a': 1}"), "number": (5, "5")}
+
+
+def _refused_with(path, item, chunk):
+    message = f"malformed state file {path}: amplitudes must be [re, im] pairs of numbers, got {item}"
+    with mock.patch.object(core, "_LOAD_CHUNK", chunk):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            load_state(path)
+
+
+@pytest.mark.parametrize("chunk", [core._LOAD_CHUNK, 64], ids=["one_chunk", "many_chunks"])
+@pytest.mark.parametrize("bad, item", _NOT_PAIRS.values(), ids=_NOT_PAIRS.keys())
+def test_state_file_names_the_item_that_is_no_pair(tmp_path, bad, item, chunk):
+    # First in a two-item list, and last in a list of 4096 items that
+    # a chunk of 64 characters cuts at every pair gap.
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"n": 1, "amplitudes": [bad, [0, 0]]}))
+    _refused_with(short, item, chunk)
+    long = tmp_path / "long.json"
+    long.write_text(json.dumps({"n": 12, "amplitudes": [[0.0, 0.0]] * 4095 + [bad]}))
+    _refused_with(long, item, chunk)
+
+
+@pytest.mark.parametrize("bad, item", _NOT_LISTS.values(), ids=_NOT_LISTS.keys())
+def test_state_file_names_an_amplitude_value_that_is_no_list(tmp_path, bad, item):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 1, "amplitudes": bad}))
+    _refused_with(path, item, core._LOAD_CHUNK)
+
+
+def test_state_file_refusal_cuts_a_long_item_short(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 1, "amplitudes": [[0.0] * 100_000, [0, 0]]}))
+    _refused_with(path, "[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ...]", core._LOAD_CHUNK)
+
+
 
 _DEEP_NESTING = {
     # json's decoder recursed until this escaped as RecursionError.

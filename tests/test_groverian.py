@@ -25,6 +25,7 @@ from helpers import (
     reference_ascend,
     reference_grid_search_oracle,
     reference_optimize_product,
+    reference_screened_value,
     traced_peak,
 )
 
@@ -301,6 +302,101 @@ def test_optimizer_is_unchanged_across_group_boundaries(n, restarts, group, seed
     _assert_same_result(result, reference_optimize_product(state, restarts=restarts, seed=seed))
 
 
+def _screen_case(kind, n, rng):
+    if kind == "haar":
+        return random_state(n, rng)
+    if kind == "product":
+        return ProductState(groverian._random_factors(n, rng)).to_state()
+    state = build_state(kind.removesuffix("-rotated"), n)
+    if kind.endswith("-rotated"):
+        state = apply_local_unitaries(state, [random_unitary(rng) for _ in range(n)])
+    return state
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["haar", "ghz", "w", "product", "ghz-rotated", "w-rotated"]),
+    n=st.integers(1, 8),
+    restarts=st.integers(1, 24),
+    group=st.sampled_from([1, 2, 3, None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_selected_start_matches_the_sequential_ascent_bit_for_bit(
+        kind, n, restarts, group, seed):
+    # Every start's screened value is the one its whole ascent passes
+    # through, and every start within SCREEN_MARGIN of the best screened
+    # value ends with the value, factors and flag of its whole ascent,
+    # whichever group it ascends in.
+    state = _screen_case(kind, n, np.random.default_rng(seed))
+    psi_t = state.amplitudes.reshape((2,) * n)
+    calls = []
+
+    def recording(psi_t, starts, screened, best):
+        out = _ascend(psi_t, starts, screened, best)
+        calls.append((starts, *out, screened.copy()))
+        return out
+
+    cells = (restarts + 1 if group is None else group) << n
+    with mock.patch.object(groverian, "_ASCENT_CELLS", cells):
+        with mock.patch.object(groverian, "_ascend", recording):
+            optimize_product(state, restarts=restarts, seed=seed)
+    starts, values, factors, converged, screened = (np.concatenate(a) for a in zip(*calls))
+    assert len(screened) == restarts + 1
+    selected = screened >= screened.max() - groverian.SCREEN_MARGIN
+    for j, start in enumerate(starts):
+        value, out, ref_converged, history = reference_ascend(psi_t, start)
+        assert screened[j] == reference_screened_value(history, n)
+        if selected[j]:
+            assert values[j] == value
+            assert factors[j].tobytes() == out.tobytes()
+            assert converged[j] == ref_converged
+
+
+def _lane_sweeps(call):
+    # call() and the sweeps it made, one a lane.
+    sweeps = []
+    sweeper = groverian._sweeper
+
+    def counting(psi_t, factors):
+        sweep = sweeper(psi_t, factors)
+
+        def counted():
+            sweeps.append(factors.shape[1])
+            return sweep()
+
+        return counted
+
+    with mock.patch.object(groverian, "_sweeper", counting):
+        result = call()
+    return result, sum(sweeps)
+
+
+# Haar states (n, build_state seed, optimizer seed) where a random start
+# stalls on a plateau far below the best start, then climbs and wins.  At
+# n = 12 start 5 first gains less than 1e-7 1.8e-3 below the best, never
+# less than 6.7e-8 there, and wins by 2.2e-14: a SCREEN_TOL of 1e-7 would
+# stop it.  At n = 10 start 7 gains 3.8e-9 a sweep at its slowest, 4e-3
+# below the best, and wins by 2.4e-13; in the second n = 12 state start 8
+# gains 1.7e-9 at its slowest, 1.4e-3 below, and wins by 1e-4.  So any
+# SCREEN_TOL above 1.7e-9 fails one of them.
+_PLATEAUS = [(12, 515, 15), (10, 1083, 83), (12, 105316, 8316)]
+
+
+@pytest.mark.parametrize("n, state_seed, seed", _PLATEAUS)
+def test_a_start_that_stalls_on_a_plateau_and_then_wins_is_kept(n, state_seed, seed):
+    # The screen still stops the starts that end far below.
+    state = build_state("haar", n, seed=state_seed)
+    result, sweeps = _lane_sweeps(lambda: optimize_product(state, restarts=8, seed=seed))
+    with mock.patch.object(groverian, "SCREEN_MARGIN", math.inf):
+        full, full_sweeps = _lane_sweeps(lambda: optimize_product(state, restarts=8, seed=seed))
+        ref = reference_optimize_product(state, restarts=8, seed=seed)
+    _assert_same_result(full, ref)
+    assert result.p_max == ref.p_max and result.g == ref.g
+    assert result.argmax.qubit_states.tobytes() == ref.argmax.qubit_states.tobytes()
+    assert result.converged == ref.converged
+    assert sweeps < full_sweeps, (sweeps, full_sweeps)
+
+
 def test_ties_keep_the_earliest_start_across_groups():
     # On |000>, starts of +-1 and 0 are contracted exactly: every start
     # reaches 1.0 exactly, with factors of its own signs.  Groups of two
@@ -334,13 +430,14 @@ def test_ascent_memory_is_bounded_by_the_group_cap():
 
 
 def test_optimizer_memory_does_not_grow_with_its_sweeps():
-    # With no tolerance every start runs MAX_SWEEPS sweeps.  The optimizer
-    # holds its group buffer, the starts and their results, and nothing
-    # that grows with the sweeps.
+    # With no tolerance and no screen every start runs MAX_SWEEPS sweeps.
+    # The optimizer holds its group buffer, the starts and their results,
+    # and nothing that grows with the sweeps.
     state = build_state("w", 3)
     optimize_product(state, restarts=1)
     peaks = []
-    with mock.patch.object(groverian, "SWEEP_TOL", -math.inf):
+    with mock.patch.object(groverian, "SWEEP_TOL", -math.inf), \
+            mock.patch.object(groverian, "SCREEN_TOL", -math.inf):
         for sweeps in (50, 500):
             with mock.patch.object(groverian, "MAX_SWEEPS", sweeps):
                 peak, _ = traced_peak(lambda: optimize_product(state, restarts=1000, seed=1))
