@@ -107,12 +107,13 @@ python -c 'import json; d = json.load(open("ghz8-groverian.json")); assert abs(d
 # states (n, build_state seed, optimizer seed) a random start stalls on a
 # plateau far below the best start, then climbs and wins, so the screen
 # must keep it: p_max and argmax are those of the full ascent, the
-# optimizer with SCREEN_MARGIN = inf.
-for plateau in "12 515 15" "10 1083 83" "12 105316 8316"; do
+# optimizer with SCREEN_MARGIN = inf.  The last runs the CLI's default
+# 32 restarts.
+for plateau in "12 515 15 8" "10 1083 83 8" "12 105316 8316 8" "11 74447 54447 8" "11 76711 56711 32"; do
   set -- $plateau
   groverdyn state make haar --n "$1" --seed "$2" --out "plateau-$2.json"
-  groverdyn groverian --state "plateau-$2.json" --n "$1" --restarts 8 --seed "$3" > "plateau-$2-groverian.json"
-  python -c 'import json, math, sys; from groverdyn import groverian, load_state; name, seed = sys.argv[1:]; d = json.load(open(f"{name}-groverian.json")); groverian.SCREEN_MARGIN = math.inf; r = groverian.optimize_product(load_state(f"{name}.json"), restarts=8, seed=int(seed)); assert d["p_max"] == r.p_max, (d["p_max"], r.p_max); assert d["argmax"] == [[c0.real, c0.imag, c1.real, c1.imag] for c0, c1 in r.argmax.qubit_states], "argmax differs from the full ascent"' "plateau-$2" "$3"
+  groverdyn groverian --state "plateau-$2.json" --n "$1" --restarts "$4" --seed "$3" > "plateau-$2-groverian.json"
+  python -c 'import json, math, sys; from groverdyn import groverian, load_state; name, seed, restarts = sys.argv[1:]; d = json.load(open(f"{name}-groverian.json")); groverian.SCREEN_MARGIN = math.inf; r = groverian.optimize_product(load_state(f"{name}.json"), restarts=int(restarts), seed=int(seed)); assert d["p_max"] == r.p_max, (d["p_max"], r.p_max); assert d["argmax"] == [[c0.real, c0.imag, c1.real, c1.imag] for c0, c1 in r.argmax.qubit_states], "argmax differs from the full ascent"' "plateau-$2" "$3" "$4"
 done
 # All 10,001 starts at n = 3 in one group; W's P_max is 4/9.
 timeout 60 groverdyn groverian --state w --n 3 --restarts 10000 > w3-groverian.json

@@ -35,11 +35,12 @@ SWEEP_TOL = 1e-12
 # SCREEN_MARGIN below the best one stops there, and only the others ascend
 # on to SWEEP_TOL.  A start can stall on a plateau far below the best and
 # then climb to win.  Haar starts at n = 12 (build_state seed 515,
-# optimizer seed 15), n = 10 (1083, 83) and n = 12 (105316, 8316) do,
-# gaining no less than 6.7e-8, 3.8e-9 and 1.7e-9 a sweep there; SCREEN_TOL
-# sits a factor of 3.4 below the slowest.  In 2240 seeded states at
-# n = 4-14, 8 random starts each, no winner was stopped at 1e-9 or 5e-10.
-SCREEN_TOL = 5e-10
+# optimizer seed 15), n = 10 (1083, 83), n = 12 (105316, 8316) and n = 11
+# (74447, 54447; and 76711, 56711 with 32 restarts) do, gaining no less
+# than 6.7e-8, 3.8e-9, 1.7e-9, 3.4e-10 and 4.1e-10 a sweep there;
+# SCREEN_TOL sits a factor of 3.4 below the slowest.  In 6825 seeded
+# states at n = 4-14, with 8 to 256 random starts, none lost its winner.
+SCREEN_TOL = 1e-10
 SCREEN_MARGIN = 1e-4
 
 # Most random starts one optimization takes: 40 times the 256 that serve
@@ -56,6 +57,12 @@ MAX_RESOLUTION = 1000
 # n = 14-18 and held more; a smaller one split n = 14-16 into groups of
 # one or two lanes, which lost to the stacked calls' own overhead.
 _ASCENT_CELLS = 1 << 18
+
+# Amplitudes the lanes that have stopped may hold before _ascend drops them
+# from its stack.  At n = 3 a lane adds about 0.3 us to a 22 us sweep, and
+# a smaller stack takes 12 us or more to build, so up to 32 stopped lanes
+# ride along; from n = 8 on a lane that stops leaves at once.
+_IDLE_CELLS = 1 << 8
 
 # Grid points grid_search_oracle finishes at a time.
 _ORACLE_BLOCK = 1 << 11
@@ -115,6 +122,13 @@ class GroverianResult:
       selected start's final value, and any other start's screened value,
       which its whole ascent passes through: a lower bound on where that
       ascent would end.
+
+    A start that is not selected may still have ascended further than its
+    screened value, even to its end, before a later start's screened value
+    passed its own by more than the margin.  That value is dropped, so
+    ``p_max`` can be below a value the optimizer computed; what each start
+    ascends to before it stops depends on the grouping, and dropping it
+    keeps the result independent of the grouping.
     """
 
     p_max: float
@@ -226,42 +240,44 @@ def _sweeper(psi_t: np.ndarray, factors: np.ndarray) -> Callable[[], np.ndarray]
 def _ascend(
     psi_t: np.ndarray,
     starts: np.ndarray,
-    screened: np.ndarray | None = None,
+    screened: np.ndarray,
     best: float = -math.inf,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     # Alternating exact single-qubit updates in Gauss-Seidel order, run in
     # lockstep from an (L, n, 2) stack of starts; returns each lane's value,
-    # factors and converged flag.  The value after each update is
-    # nondecreasing up to rounding.  Each sweep carries phi contracted from
-    # the left with the factors already updated, and builds the products of
-    # the factors not yet updated once, from the last qubit backwards.
-    # Qubit k's environment v, with <s|phi> = <c_k|v>, is then one
-    # (2, 2^(n-1-k)) matvec a lane, so a sweep costs O(L N).  Every stacked
-    # matmul makes one BLAS gemv or dot a lane, the call a single start
-    # makes, so each lane keeps the bits of an ascent on its own.  A lane
-    # leaves the stack at the first sweep that gains less than SWEEP_TOL,
-    # or after MAX_SWEEPS.
+    # factors and converged flag, and the best screened value.  The value
+    # after each update is nondecreasing up to rounding.  Each sweep carries
+    # phi contracted from the left with the factors already updated, and
+    # builds the products of the factors not yet updated once, from the last
+    # qubit backwards.  Qubit k's environment v, with <s|phi> = <c_k|v>, is
+    # then one (2, 2^(n-1-k)) matvec a lane, so a sweep costs O(L N).  Every
+    # stacked matmul makes one BLAS gemv or dot a lane, the call a single
+    # start makes, so each lane keeps the bits of an ascent on its own.
     #
-    # Given an (L,) array ``screened``, the ascent also screens: each lane's
-    # screened value, written there, is its value after the first sweep
-    # that gains less than SCREEN_TOL, or its last value if it stops first.
-    # A lane leaves as soon as its screened value is more than SCREEN_MARGIN
-    # below the best screened value, ``best`` or any lane's; it returns the
-    # value, factors and flag (False unless that sweep stopped it) it had
-    # then.  Every other lane ascends as it would unscreened.
+    # Each lane's screened value, written to the (L,) array ``screened``, is
+    # its value after the first sweep that gains less than SCREEN_TOL, or
+    # its last value if it stops first.  A lane stops at the first sweep
+    # that gains less than SWEEP_TOL, after MAX_SWEEPS, or as soon as its
+    # screened value is more than SCREEN_MARGIN below the best screened
+    # value, ``best`` or any lane's; it returns the value, factors and flag
+    # (False unless SWEEP_TOL stopped it) it had then.
+    n = psi_t.ndim
     lanes = len(starts)
     values = np.zeros(lanes)
     factors_out = np.array(starts, dtype=np.complex128)
     converged = np.zeros(lanes, dtype=bool)
-    # The active lanes' original indices, their factors qubit by qubit, their
+    # The stack's lanes: their original indices, factors qubit by qubit and
     # value after the last sweep, the gain below which a sweep looks at
-    # them (the larger tolerance until a lane is screened, then SWEEP_TOL)
-    # and their screened values, NaN until screened.
-    active = np.arange(lanes)
+    # them (SCREEN_TOL, then SWEEP_TOL once screened) and their screened
+    # values, NaN until screened.  A lane that stops stays in the stack,
+    # with tolerance and screened value NaN so no sweep looks at it, until
+    # the stopped lanes hold _IDLE_CELLS amplitudes.
+    index = np.arange(lanes)
     factors = factors_out.transpose(1, 0, 2).copy()
     previous = np.zeros(lanes)
-    tol = np.full(lanes, SWEEP_TOL if screened is None else max(SCREEN_TOL, SWEEP_TOL))
+    tol = np.full(lanes, SCREEN_TOL)
     marks = np.full(lanes, math.nan)
+    running = lanes
     sweep_once = None
     for sweep in range(1, MAX_SWEEPS + 1):
         if sweep_once is None:
@@ -269,42 +285,43 @@ def _ascend(
         value = sweep_once()
         gain = value - previous
         hit = gain < tol
-        last = sweep == MAX_SWEEPS
-        if not (last or np.count_nonzero(hit)):
+        if sweep == MAX_SWEEPS:
+            # Every running lane: screened if it is not yet, then stopped.
+            hit = ~np.isnan(tol)
+        elif not np.count_nonzero(hit):
             previous = value
             continue
-        done = stop = gain < SWEEP_TOL
-        if screened is not None:
-            # The lanes screened at this sweep: those not screened before
-            # that gain less than SCREEN_TOL or stop, which hit covers
-            # before the last sweep.
-            fresh = np.isnan(marks)
-            if not last:
-                fresh &= hit
+        done = stop = hit & (gain < SWEEP_TOL)
+        # The lanes screened at this sweep.  Only they move the best, so a
+        # sweep that screens none stops no lane below it.  NaN compares
+        # False, so a lane not screened runs on.
+        fresh = hit & np.isnan(marks)
+        if np.count_nonzero(fresh):
             np.copyto(marks, value, where=fresh)
             np.copyto(tol, SWEEP_TOL, where=fresh)
-            # fmax skips the NaN of a lane not yet screened, and NaN
-            # compares False, so such a lane stays.
-            best = float(np.fmax.reduce(marks, initial=best))
+            best = max(best, *value[fresh].tolist())
             stop = done | (marks < best - SCREEN_MARGIN)
-        if last:
-            stop = np.ones_like(done)
+        if sweep == MAX_SWEEPS:
+            stop = hit
         if np.count_nonzero(stop):
-            gone = active[stop]
+            gone = index[stop]
             values[gone] = value[stop]
             factors_out[gone] = factors[:, stop].transpose(1, 0, 2)
             converged[gone] = done[stop]
-            if screened is not None:
-                screened[gone] = marks[stop]
-            keep = ~stop
-            active, factors, value = active[keep], factors[:, keep], value[keep]
-            tol, marks = tol[keep], marks[keep]
-            # Its buffers go before the next stack's are made.
-            sweep_once = None
-            if not len(active):
+            screened[gone] = marks[stop]
+            running -= len(gone)
+            if not running:
                 break
+            tol[stop] = math.nan
+            marks[stop] = math.nan
+            if (len(index) - running) << n >= _IDLE_CELLS:
+                keep = ~np.isnan(tol)
+                index, factors, value = index[keep], factors[:, keep], value[keep]
+                tol, marks = tol[keep], marks[keep]
+                # Its buffers go before the next stack's are made.
+                sweep_once = None
         previous = value
-    return values, factors_out, converged
+    return values, factors_out, converged, best
 
 
 def _optimizer_arguments(restarts, seed) -> tuple[int, int]:
@@ -357,9 +374,8 @@ def optimize_product(
         if first == 0:
             starts = np.concatenate([warm[None], starts])
         part = slice(first, end)
-        values[part], group_factors, converged[part] = _ascend(psi_t, starts, screened[part], best)
+        values[part], group_factors, converged[part], best = _ascend(psi_t, starts, screened[part], best)
         factors.append(group_factors)
-        best = max(best, float(screened[part].max()))
 
     selected = screened >= best - SCREEN_MARGIN
     # argmax takes the first of equal values, so ties keep the earliest start.

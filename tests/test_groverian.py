@@ -181,6 +181,13 @@ def test_single_qubit_updates_are_monotone():
         assert later >= earlier - 1e-14
 
 
+def _full_ascend(psi_t, starts):
+    # _ascend with the screen off: every lane ascends to SWEEP_TOL or
+    # MAX_SWEEPS, as one start ascends alone.
+    with mock.patch.object(groverian, "SCREEN_MARGIN", math.inf):
+        return _ascend(psi_t, starts, np.empty(len(starts)))[:3]
+
+
 def _values_by_sweep(psi_t, starts, sweeps):
     # Each lane's value after sweeps 1, 2, ..., sweeps, as a (sweeps, L)
     # array.  A sweep reads nothing but the factors, so ascending one sweep
@@ -189,7 +196,7 @@ def _values_by_sweep(psi_t, starts, sweeps):
     values = []
     with mock.patch.object(groverian, "MAX_SWEEPS", 1):
         for _ in range(sweeps):
-            value, starts, _ = _ascend(psi_t, starts)
+            value, starts, _ = _full_ascend(psi_t, starts)
             values.append(value)
     return np.array(values)
 
@@ -255,7 +262,7 @@ def test_every_lane_matches_the_sequential_ascent_bit_for_bit(kind, n, lanes, sw
     state, starts = _ascent_case(kind, n, lanes, rng)
     psi_t = state.amplitudes.reshape((2,) * n)
     with mock.patch.object(groverian, "MAX_SWEEPS", sweeps or groverian.MAX_SWEEPS):
-        values, factors, converged = _ascend(psi_t, starts)
+        values, factors, converged = _full_ascend(psi_t, starts)
         refs = [reference_ascend(psi_t, start) for start in starts]
     assert values.shape == converged.shape == (lanes,) and factors.shape == starts.shape
     for j, (value, out, ref_converged, _) in enumerate(refs):
@@ -269,7 +276,7 @@ def test_a_lane_whose_environment_is_zero_keeps_its_factor():
     # lane keeps its start and its value 0, beside a lane that moves.
     psi_t = build_state("basis", 2, k=3).amplitudes.reshape(2, 2)
     starts = np.array([[[1, 0], [1, 0]], [[0.6, 0.8], [1, 0]]], dtype=complex)
-    values, factors, converged = _ascend(psi_t, starts)
+    values, factors, converged = _full_ascend(psi_t, starts)
     assert values.tolist() == [0.0, 1.0] and converged.all()
     assert np.array_equal(factors[0], starts[0])
     for j in range(2):
@@ -333,7 +340,9 @@ def test_every_selected_start_matches_the_sequential_ascent_bit_for_bit(
 
     def recording(psi_t, starts, screened, best):
         out = _ascend(psi_t, starts, screened, best)
-        calls.append((starts, *out, screened.copy()))
+        # The best screened value so far, this group's included.
+        assert out[3] == max(best, screened.max())
+        calls.append((starts, *out[:3], screened.copy()))
         return out
 
     cells = (restarts + 1 if group is None else group) << n
@@ -377,19 +386,29 @@ def _lane_sweeps(call):
 # less than 6.7e-8 there, and wins by 2.2e-14: a SCREEN_TOL of 1e-7 would
 # stop it.  At n = 10 start 7 gains 3.8e-9 a sweep at its slowest, 4e-3
 # below the best, and wins by 2.4e-13; in the second n = 12 state start 8
-# gains 1.7e-9 at its slowest, 1.4e-3 below, and wins by 1e-4.  So any
-# SCREEN_TOL above 1.7e-9 fails one of them.
-_PLATEAUS = [(12, 515, 15), (10, 1083, 83), (12, 105316, 8316)]
+# gains 1.7e-9 at its slowest, 1.4e-3 below, and wins by 1e-4.  At n = 11
+# start 6 gains 3.4e-10 a sweep for about 100 sweeps, 3e-3 below, and
+# ends 4.7e-13 above start 4, which reaches the same optimum.  With the
+# CLI's 32 restarts, in the second n = 11 state starts 3 and 11 gain
+# 4.1e-10 at their slowest, 2.9e-3 below, and win by 9.9e-4.  So any
+# SCREEN_TOL above 3.4e-10 fails one of them.
+_PLATEAUS = [
+    (12, 515, 15, 8),
+    (10, 1083, 83, 8),
+    (12, 105316, 8316, 8),
+    (11, 74447, 54447, 8),
+    (11, 76711, 56711, 32),
+]
 
 
-@pytest.mark.parametrize("n, state_seed, seed", _PLATEAUS)
-def test_a_start_that_stalls_on_a_plateau_and_then_wins_is_kept(n, state_seed, seed):
+@pytest.mark.parametrize("n, state_seed, seed, restarts", _PLATEAUS)
+def test_a_start_that_stalls_on_a_plateau_and_then_wins_is_kept(n, state_seed, seed, restarts):
     # The screen still stops the starts that end far below.
     state = build_state("haar", n, seed=state_seed)
-    result, sweeps = _lane_sweeps(lambda: optimize_product(state, restarts=8, seed=seed))
+    result, sweeps = _lane_sweeps(lambda: optimize_product(state, restarts=restarts, seed=seed))
     with mock.patch.object(groverian, "SCREEN_MARGIN", math.inf):
-        full, full_sweeps = _lane_sweeps(lambda: optimize_product(state, restarts=8, seed=seed))
-        ref = reference_optimize_product(state, restarts=8, seed=seed)
+        full, full_sweeps = _lane_sweeps(lambda: optimize_product(state, restarts=restarts, seed=seed))
+        ref = reference_optimize_product(state, restarts=restarts, seed=seed)
     _assert_same_result(full, ref)
     assert result.p_max == ref.p_max and result.g == ref.g
     assert result.argmax.qubit_states.tobytes() == ref.argmax.qubit_states.tobytes()
@@ -411,13 +430,39 @@ def test_ties_keep_the_earliest_start_across_groups():
     state = build_state("basis", n, k=0)
     with mock.patch.object(groverian, "_random_factors", signed_starts):
         starts = signed_starts(n, np.random.default_rng(3), 5)
-        _, reached, _ = _ascend(state.amplitudes.reshape(2, 2, 2), starts)
+        _, reached, _ = _full_ascend(state.amplitudes.reshape(2, 2, 2), starts)
         # Every random start ties with the warm start at other factors.
         assert all(not np.array_equal(f, groverian._basis_factors(n, 0)) for f in reached)
         with mock.patch.object(groverian, "_ASCENT_CELLS", 2 << n):
             result = optimize_product(state, restarts=5, seed=3)
     assert result.best_per_restart == (1.0,) * 6
     assert result.argmax.qubit_states.tobytes() == groverian._basis_factors(n, 0).tobytes()
+
+
+def _stacks_built(call):
+    # call() and the lockstep stacks it built.
+    builds = []
+    sweeper = groverian._sweeper
+
+    def counting(psi_t, factors):
+        builds.append(factors.shape[1])
+        return sweeper(psi_t, factors)
+
+    with mock.patch.object(groverian, "_sweeper", counting):
+        result = call()
+    return result, len(builds)
+
+
+@pytest.mark.parametrize("kind", ["ghz-rotated", "w-rotated", "haar"])
+def test_stopped_lanes_ride_along_in_a_small_stack(kind):
+    # At n = 3 stopped lanes stay in the stack, so fewer stacks are built
+    # than when every stop drops them, and every start ends as it does then.
+    state = _screen_case(kind, 3, np.random.default_rng(71))
+    result, builds = _stacks_built(lambda: optimize_product(state, restarts=32, seed=5))
+    with mock.patch.object(groverian, "_IDLE_CELLS", 0):
+        ref, ref_builds = _stacks_built(lambda: optimize_product(state, restarts=32, seed=5))
+    _assert_same_result(result, ref)
+    assert builds < ref_builds, (builds, ref_builds)
 
 
 def test_ascent_memory_is_bounded_by_the_group_cap():
