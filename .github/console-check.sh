@@ -118,6 +118,15 @@ done
 # All 10,001 starts at n = 3 in one group; W's P_max is 4/9.
 timeout 60 groverdyn groverian --state w --n 3 --restarts 10000 > w3-groverian.json
 python -c 'import json; d = json.load(open("w3-groverian.json")); assert abs(d["p_max"] - 4 / 9) <= 1e-9, d'
+# At n = 14 a group holds _ASCENT_CELLS >> 14 = 16 starts, so the 33 starts
+# of 32 restarts ascend in three groups, and the best screened value
+# carries from each group to the next.  A rerun prints the same bytes, and
+# p_max and argmax are those of the optimizer with all 33 in one group.
+groverdyn state make haar --n 14 --seed 1 --out haar14.json
+groverdyn groverian --state haar14.json --n 14 --restarts 32 --seed 1 > haar14-groverian.json
+groverdyn groverian --state haar14.json --n 14 --restarts 32 --seed 1 > haar14-groverian-again.json
+cmp haar14-groverian.json haar14-groverian-again.json
+python -c 'import json; from groverdyn import groverian, load_state; d = json.load(open("haar14-groverian.json")); groverian._ASCENT_CELLS = 33 << 14; r = groverian.optimize_product(load_state("haar14.json"), restarts=32, seed=1); assert d["p_max"] == r.p_max, (d["p_max"], r.p_max); assert d["argmax"] == [[c0.real, c0.imag, c1.real, c1.imag] for c0, c1 in r.argmax.qubit_states], "argmax differs from one group"'
 # 100001 sampled sets exceed the sweep limit: configuration error, exit code 3.
 code=0
 groverdyn avg-success --state eta --n 12 --r 2 --samples 100001 --seed 0 --out over.json || code=$?

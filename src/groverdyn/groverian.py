@@ -4,10 +4,11 @@ squared overlap between a state and any n-qubit product state.
 The maximization over local unitaries reduces to a maximization over
 product states, which is what is implemented: an alternating optimizer
 whose single-qubit update is an exact argmax (the normalized
-contraction of the state against the other factors), run from many
-starts in lockstep with the bits each start reaches on its own, the
-starts that stall far below the best screened out early, plus an
-independent oracle for n <= 3 that grids at most one qubit and finishes
+contraction of the state against the other factors), run from every
+start in one lockstep ascent, a bounded group of starts at a time, each
+start with the bits it reaches on its own and the starts that stall far
+below the best of any group screened out early, plus an independent
+oracle for n <= 3 that grids at most one qubit and finishes
 the last two exactly, with the closed-form largest eigenvalue of a 2x2
 M M^dagger.
 """
@@ -51,11 +52,13 @@ MAX_RESTARTS = 10_000
 # Largest grid_search_oracle resolution: about 32 bytes a grid point at n = 3.
 MAX_RESOLUTION = 1000
 
-# Amplitudes one lockstep ascent holds: optimize_product ascends
-# _ASCENT_CELLS >> n starts at a time (at least one), in one buffer of
-# 16 bytes x _ASCENT_CELLS = 4 MiB.  A larger cap bought no time at
-# n = 14-18 and held more; a smaller one split n = 14-16 into groups of
-# one or two lanes, which lost to the stacked calls' own overhead.
+# Amplitudes one lockstep group holds: _ascend ascends _ASCENT_CELLS >> n
+# starts at a time (at least one), in one buffer of 16 bytes a start and an
+# amplitude, 16 x max(_ASCENT_CELLS, 2^n) bytes: 4 MiB up to n = 18, and
+# one start's 16 x 2^n bytes above, 256 MiB at n = 24.  A larger cap
+# bought no time at n = 14-18 and held more; a smaller one split
+# n = 14-16 into groups of one or two lanes, which lost to the stacked
+# calls' own overhead.
 _ASCENT_CELLS = 1 << 18
 
 # Amplitudes the lanes that have stopped may hold before _ascend drops them
@@ -237,91 +240,92 @@ def _sweeper(psi_t: np.ndarray, factors: np.ndarray) -> Callable[[], np.ndarray]
     return sweep
 
 
-def _ascend(
-    psi_t: np.ndarray,
-    starts: np.ndarray,
-    screened: np.ndarray,
-    best: float = -math.inf,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    # Alternating exact single-qubit updates in Gauss-Seidel order, run in
-    # lockstep from an (L, n, 2) stack of starts; returns each lane's value,
-    # factors and converged flag, and the best screened value.  The value
-    # after each update is nondecreasing up to rounding.  Each sweep carries
-    # phi contracted from the left with the factors already updated, and
-    # builds the products of the factors not yet updated once, from the last
-    # qubit backwards.  Qubit k's environment v, with <s|phi> = <c_k|v>, is
-    # then one (2, 2^(n-1-k)) matvec a lane, so a sweep costs O(L N).  Every
-    # stacked matmul makes one BLAS gemv or dot a lane, the call a single
-    # start makes, so each lane keeps the bits of an ascent on its own.
+def _ascend(psi_t: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # Alternating exact single-qubit updates in Gauss-Seidel order from an
+    # (L, n, 2) complex stack of starts, which it overwrites with the
+    # factors each start ends on; returns each start's value, those factors,
+    # its converged flag and its screened value.  The value after each
+    # update is nondecreasing up to rounding.  Each sweep carries phi
+    # contracted from the left with the factors already updated, and builds
+    # the products of the factors not yet updated once, from the last qubit
+    # backwards.  Qubit k's environment v, with <s|phi> = <c_k|v>, is then
+    # one (2, 2^(n-1-k)) matvec a lane, so a sweep costs O(L N).
     #
-    # Each lane's screened value, written to the (L,) array ``screened``, is
-    # its value after the first sweep that gains less than SCREEN_TOL, or
-    # its last value if it stops first.  A lane stops at the first sweep
-    # that gains less than SWEEP_TOL, after MAX_SWEEPS, or as soon as its
-    # screened value is more than SCREEN_MARGIN below the best screened
-    # value, ``best`` or any lane's; it returns the value, factors and flag
-    # (False unless SWEEP_TOL stopped it) it had then.
+    # The starts ascend in lockstep, in order, in groups of
+    # _ASCENT_CELLS >> n lanes (at least one), one group after another.
+    # Every stacked matmul makes one BLAS gemv or dot a lane, the call a
+    # single start makes, so each lane keeps the bits of an ascent on its
+    # own.  A lane's screened value is its value after the first sweep that
+    # gains less than SCREEN_TOL, or its last value if it stops first.  A
+    # lane stops at the first sweep that gains less than SWEEP_TOL, after
+    # MAX_SWEEPS, or as soon as its screened value is more than
+    # SCREEN_MARGIN below the best screened value of any lane so far, in its
+    # group or an earlier one; it keeps the value, factors and flag (False
+    # unless SWEEP_TOL stopped it) it had then.
     n = psi_t.ndim
-    lanes = len(starts)
-    values = np.zeros(lanes)
-    factors_out = np.array(starts, dtype=np.complex128)
-    converged = np.zeros(lanes, dtype=bool)
-    # The stack's lanes: their original indices, factors qubit by qubit and
-    # value after the last sweep, the gain below which a sweep looks at
-    # them (SCREEN_TOL, then SWEEP_TOL once screened) and their screened
-    # values, NaN until screened.  A lane that stops stays in the stack,
-    # with tolerance and screened value NaN so no sweep looks at it, until
-    # the stopped lanes hold _IDLE_CELLS amplitudes.
-    index = np.arange(lanes)
-    factors = factors_out.transpose(1, 0, 2).copy()
-    previous = np.zeros(lanes)
-    tol = np.full(lanes, SCREEN_TOL)
-    marks = np.full(lanes, math.nan)
-    running = lanes
-    sweep_once = None
-    for sweep in range(1, MAX_SWEEPS + 1):
-        if sweep_once is None:
-            sweep_once = _sweeper(psi_t, factors)
-        value = sweep_once()
-        gain = value - previous
-        hit = gain < tol
-        if sweep == MAX_SWEEPS:
-            # Every running lane: screened if it is not yet, then stopped.
-            hit = ~np.isnan(tol)
-        elif not np.count_nonzero(hit):
+    values = np.zeros(len(starts))
+    converged = np.zeros(len(starts), dtype=bool)
+    screened = np.empty(len(starts))
+    best = -math.inf
+    group = max(1, _ASCENT_CELLS >> n)
+    for first in range(0, len(starts), group):
+        # The stack's lanes: their indices in starts, factors qubit by qubit
+        # and value after the last sweep, the gain below which a sweep looks
+        # at them (SCREEN_TOL, then SWEEP_TOL once screened) and their
+        # screened values, NaN until screened.  A lane that stops stays in
+        # the stack, with tolerance and screened value NaN so no sweep looks
+        # at it, until the stopped lanes hold _IDLE_CELLS amplitudes.  The
+        # last group's buffers go before this group's are made.
+        sweep_once = None
+        factors = starts[first : first + group].transpose(1, 0, 2).copy()
+        index = np.arange(first, first + factors.shape[1])
+        previous = np.zeros(len(index))
+        tol = np.full(len(index), SCREEN_TOL)
+        marks = np.full(len(index), math.nan)
+        running = len(index)
+        for sweep in range(1, MAX_SWEEPS + 1):
+            if sweep_once is None:
+                sweep_once = _sweeper(psi_t, factors)
+            value = sweep_once()
+            gain = value - previous
+            hit = gain < tol
+            if sweep == MAX_SWEEPS:
+                # Every running lane: screened if it is not yet, then stopped.
+                hit = ~np.isnan(tol)
+            elif not np.count_nonzero(hit):
+                previous = value
+                continue
+            done = stop = hit & (gain < SWEEP_TOL)
+            # The lanes screened at this sweep.  Only they move the best, so
+            # a sweep that screens none stops no lane below it.  NaN compares
+            # False, so a lane not screened runs on.
+            fresh = hit & np.isnan(marks)
+            if np.count_nonzero(fresh):
+                np.copyto(marks, value, where=fresh)
+                np.copyto(tol, SWEEP_TOL, where=fresh)
+                best = max(best, *value[fresh].tolist())
+                stop = done | (marks < best - SCREEN_MARGIN)
+            if sweep == MAX_SWEEPS:
+                stop = hit
+            if np.count_nonzero(stop):
+                gone = index[stop]
+                values[gone] = value[stop]
+                starts[gone] = factors[:, stop].transpose(1, 0, 2)
+                converged[gone] = done[stop]
+                screened[gone] = marks[stop]
+                running -= len(gone)
+                if not running:
+                    break
+                tol[stop] = math.nan
+                marks[stop] = math.nan
+                if (len(index) - running) << n >= _IDLE_CELLS:
+                    keep = ~np.isnan(tol)
+                    index, factors, value = index[keep], factors[:, keep], value[keep]
+                    tol, marks = tol[keep], marks[keep]
+                    # Its buffers go before the next stack's are made.
+                    sweep_once = None
             previous = value
-            continue
-        done = stop = hit & (gain < SWEEP_TOL)
-        # The lanes screened at this sweep.  Only they move the best, so a
-        # sweep that screens none stops no lane below it.  NaN compares
-        # False, so a lane not screened runs on.
-        fresh = hit & np.isnan(marks)
-        if np.count_nonzero(fresh):
-            np.copyto(marks, value, where=fresh)
-            np.copyto(tol, SWEEP_TOL, where=fresh)
-            best = max(best, *value[fresh].tolist())
-            stop = done | (marks < best - SCREEN_MARGIN)
-        if sweep == MAX_SWEEPS:
-            stop = hit
-        if np.count_nonzero(stop):
-            gone = index[stop]
-            values[gone] = value[stop]
-            factors_out[gone] = factors[:, stop].transpose(1, 0, 2)
-            converged[gone] = done[stop]
-            screened[gone] = marks[stop]
-            running -= len(gone)
-            if not running:
-                break
-            tol[stop] = math.nan
-            marks[stop] = math.nan
-            if (len(index) - running) << n >= _IDLE_CELLS:
-                keep = ~np.isnan(tol)
-                index, factors, value = index[keep], factors[:, keep], value[keep]
-                tol, marks = tol[keep], marks[keep]
-                # Its buffers go before the next stack's are made.
-                sweep_once = None
-        previous = value
-    return values, factors_out, converged, best
+    return values, starts, converged, screened
 
 
 def _optimizer_arguments(restarts, seed) -> tuple[int, int]:
@@ -345,9 +349,10 @@ def optimize_product(
     ``SCREEN_TOL`` is more than ``SCREEN_MARGIN`` below the best such
     value so far stops there.  The best value of the starts within the
     margin of the best screened value of all is reported; ties keep the
-    earliest start (``GroverianResult``).  The starts ascend in lockstep,
-    in groups of ``_ASCENT_CELLS >> n`` (at least one), so a group holds
-    about 16 bytes x ``_ASCENT_CELLS`` of products at once; each start
+    earliest start (``GroverianResult``).  All starts go to one
+    ``_ascend`` call, which ascends them in lockstep in groups of
+    ``_ASCENT_CELLS >> n`` (at least one), so a group holds
+    16 bytes x max(``_ASCENT_CELLS``, 2^n) of products at once; each start
     ends with the bits it would reach alone, and the selection reads only
     screened values, so the grouping does not change the result.
     """
@@ -356,35 +361,24 @@ def optimize_product(
     psi_t = state.amplitudes.reshape((2,) * n)
     rng = np.random.default_rng(seed)
 
-    warm = _basis_factors(n, int(np.argmax(np.abs(state.amplitudes))))
+    # The warm start, then the random ones, drawn a group at a time in start
+    # order, so the draws hold one group beside the starts; _ascend
+    # overwrites each start with the factors it ends on.
+    starts = np.empty((restarts + 1, n, 2), dtype=np.complex128)
+    starts[0] = _basis_factors(n, int(np.argmax(np.abs(state.amplitudes))))
     group = max(1, _ASCENT_CELLS >> n)
+    for first in range(1, restarts + 1, group):
+        starts[first : first + group] = _random_factors(n, rng, min(group, restarts + 1 - first))
+    values, factors, converged, screened = _ascend(psi_t, starts)
 
-    # Every start's screened value, value, flag and, a group at a time,
-    # factors: 32 n bytes a start.
-    screened = np.empty(restarts + 1)
-    values = np.empty(restarts + 1)
-    converged = np.empty(restarts + 1, dtype=bool)
-    factors = []
-    best = -math.inf
-    for first in range(0, restarts + 1, group):
-        # Draw each group's starts when its ascent begins, in the order of
-        # the starts, so one group is held at a time.
-        end = min(first + group, restarts + 1)
-        starts = _random_factors(n, rng, end - max(first, 1))
-        if first == 0:
-            starts = np.concatenate([warm[None], starts])
-        part = slice(first, end)
-        values[part], group_factors, converged[part], best = _ascend(psi_t, starts, screened[part], best)
-        factors.append(group_factors)
-
-    selected = screened >= best - SCREEN_MARGIN
+    selected = screened >= screened.max() - SCREEN_MARGIN
     # argmax takes the first of equal values, so ties keep the earliest start.
     lane = int(np.argmax(np.where(selected, values, -math.inf)))
     p_max = float(values[lane])
     return GroverianResult(
         p_max=p_max,
         g=math.sqrt(max(0.0, 1.0 - p_max)),
-        argmax=ProductState(factors[lane // group][lane % group]),
+        argmax=ProductState(factors[lane]),
         restarts_used=restarts + 1,
         converged=bool(converged[lane]),
         best_per_restart=tuple(np.where(selected, values, screened).tolist()),

@@ -182,10 +182,10 @@ def test_single_qubit_updates_are_monotone():
 
 
 def _full_ascend(psi_t, starts):
-    # _ascend with the screen off: every lane ascends to SWEEP_TOL or
-    # MAX_SWEEPS, as one start ascends alone.
+    # _ascend with the screen off, on a copy of the starts: every lane
+    # ascends to SWEEP_TOL or MAX_SWEEPS, as one start ascends alone.
     with mock.patch.object(groverian, "SCREEN_MARGIN", math.inf):
-        return _ascend(psi_t, starts, np.empty(len(starts)))[:3]
+        return _ascend(psi_t, np.array(starts, dtype=complex))[:3]
 
 
 def _values_by_sweep(psi_t, starts, sweeps):
@@ -338,18 +338,17 @@ def test_every_selected_start_matches_the_sequential_ascent_bit_for_bit(
     psi_t = state.amplitudes.reshape((2,) * n)
     calls = []
 
-    def recording(psi_t, starts, screened, best):
-        out = _ascend(psi_t, starts, screened, best)
-        # The best screened value so far, this group's included.
-        assert out[3] == max(best, screened.max())
-        calls.append((starts, *out[:3], screened.copy()))
-        return out
+    def recording(psi_t, starts):
+        # _ascend overwrites the starts with the factors they end on.
+        calls.append((starts.copy(), *_ascend(psi_t, starts)))
+        return calls[-1][1:]
 
     cells = (restarts + 1 if group is None else group) << n
     with mock.patch.object(groverian, "_ASCENT_CELLS", cells):
         with mock.patch.object(groverian, "_ascend", recording):
             optimize_product(state, restarts=restarts, seed=seed)
-    starts, values, factors, converged, screened = (np.concatenate(a) for a in zip(*calls))
+    # One call ascends every start, whatever the grouping.
+    [(starts, values, factors, converged, screened)] = calls
     assert len(screened) == restarts + 1
     selected = screened >= screened.max() - groverian.SCREEN_MARGIN
     for j, start in enumerate(starts):
@@ -413,6 +412,20 @@ def test_a_start_that_stalls_on_a_plateau_and_then_wins_is_kept(n, state_seed, s
     assert result.p_max == ref.p_max and result.g == ref.g
     assert result.argmax.qubit_states.tobytes() == ref.argmax.qubit_states.tobytes()
     assert result.converged == ref.converged
+    assert sweeps < full_sweeps, (sweeps, full_sweeps)
+
+
+def test_the_best_screened_value_carries_across_groups():
+    # One start a group: a start stops below the best only if the best
+    # screened value of the groups before it counts, and the starts that
+    # win still ascend to their ends.
+    n, state_seed, seed, restarts = _PLATEAUS[1]
+    state = build_state("haar", n, seed=state_seed)
+    with mock.patch.object(groverian, "_ASCENT_CELLS", 1 << n):
+        result, sweeps = _lane_sweeps(lambda: optimize_product(state, restarts=restarts, seed=seed))
+        with mock.patch.object(groverian, "SCREEN_MARGIN", math.inf):
+            _, full_sweeps = _lane_sweeps(lambda: optimize_product(state, restarts=restarts, seed=seed))
+    _assert_same_result(result, reference_optimize_product(state, restarts=restarts, seed=seed))
     assert sweeps < full_sweeps, (sweeps, full_sweeps)
 
 
